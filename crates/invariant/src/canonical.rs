@@ -296,10 +296,6 @@ struct Indexes {
     /// face → incident edges (the paper's Face–Edge relation, inverted once
     /// instead of scanning all edges per face per candidate).
     face_edges: Vec<Vec<usize>>,
-    /// component → owned faces, sorted.
-    owned_faces: Vec<Vec<usize>>,
-    /// face → components directly embedded in it.
-    children: Vec<Vec<ComponentId>>,
     /// Components sorted by tree depth, deepest first.
     by_depth: Vec<ComponentId>,
     /// Per-cell region-membership token runs (region tokens + `CTRL_END`).
@@ -418,16 +414,6 @@ impl Indexes {
                 face_edges[b].push(e);
             }
         }
-        let mut owned_faces: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-        for f in 0..nf {
-            if let Some(c) = inv.face_owner(f) {
-                owned_faces[c].push(f);
-            }
-        }
-        let mut children: Vec<Vec<ComponentId>> = vec![Vec::new(); nf];
-        for (c, comp) in inv.components().iter().enumerate() {
-            children[comp.parent_face].push(c);
-        }
         let mut by_depth: Vec<ComponentId> = (0..ncomp).collect();
         by_depth.sort_by_key(|&c| std::cmp::Reverse(inv.components()[c].depth));
         let region_toks = |set: &crate::complex::RegionSet| -> Vec<u32> {
@@ -443,8 +429,6 @@ impl Indexes {
             refine_colours(inv, &vertex_region_toks, &edge_region_toks);
         Indexes {
             face_edges,
-            owned_faces,
-            children,
             by_depth,
             vertex_region_toks,
             edge_region_toks,
@@ -679,7 +663,7 @@ fn global_form(
 
     // Top level: the components embedded in the exterior face.
     let exterior = inv.exterior_face();
-    let (top_blob, top_order) = join_children(&idx.children[exterior], &swept.results);
+    let (top_blob, top_order) = join_children(inv.components_in_face(exterior), &swept.results);
     let mut tokens = Vec::with_capacity(top_blob.len() + 1);
     tokens.push(CTRL_EXTERIOR);
     tokens.extend_from_slice(&top_blob);
@@ -726,8 +710,8 @@ fn sweep_components(
         for &c in level {
             // All deeper components are finished; join the children embedded
             // in each face owned by `c` into one sorted-multiset blob.
-            for &f in &idx.owned_faces[c] {
-                let (blob, order) = join_children(&idx.children[f], &results);
+            for &f in inv.owned_faces(c) {
+                let (blob, order) = join_children(inv.components_in_face(f), &results);
                 face_blob[f] = blob;
                 face_child_order[f] = order;
             }
@@ -832,7 +816,7 @@ fn top_forms(
 ) -> Vec<SubtreeForm> {
     let swept = sweep_components(inv, idx, pool, orientation);
     let exterior = inv.exterior_face();
-    idx.children[exterior]
+    inv.components_in_face(exterior)
         .iter()
         .map(|&c| {
             let tokens = swept.results[c].as_ref().expect("component code computed").tokens.clone();
@@ -1343,9 +1327,7 @@ pub fn component_orderings(
         // A single vertex-free closed curve.
         let e = comp.edges[0];
         let mut order = vec![(CellKind::Edge, e)];
-        for f in invariant.owned_faces(component) {
-            order.push((CellKind::Face, f));
-        }
+        order.extend(invariant.owned_faces(component).iter().map(|&f| (CellKind::Face, f)));
         return vec![ComponentOrdering {
             orientation,
             start_vertex: None,
@@ -1500,7 +1482,7 @@ fn ordered_owned_faces(
     component: ComponentId,
     edge_rank: &HashMap<usize, usize>,
 ) -> Vec<usize> {
-    let mut faces = invariant.owned_faces(component);
+    let mut faces = invariant.owned_faces(component).to_vec();
     let key = |f: usize| -> Vec<usize> {
         let mut ranks: Vec<usize> = invariant
             .face_edges(f)
@@ -1562,8 +1544,8 @@ pub mod naive {
         }
         let mut top_level: Vec<String> = invariant
             .components_in_face(invariant.exterior_face())
-            .into_iter()
-            .map(|c| subtree_codes[c].clone().expect("subtree code computed"))
+            .iter()
+            .map(|&c| subtree_codes[c].clone().expect("subtree code computed"))
             .collect();
         top_level.sort();
         format!("ext[{}]", top_level.join("|"))
@@ -1689,8 +1671,8 @@ pub mod naive {
                     // Children embedded in this face, as a sorted multiset.
                     let mut children: Vec<String> = invariant
                         .components_in_face(id)
-                        .into_iter()
-                        .map(|c| {
+                        .iter()
+                        .map(|&c| {
                             subtree_codes[c].clone().expect("child subtree code computed first")
                         })
                         .collect();

@@ -59,6 +59,39 @@ pub struct Component {
     pub depth: usize,
 }
 
+/// Lists of ids keyed by a dense id, in one flat buffer: list `k` is
+/// `items[offsets[k]..offsets[k + 1]]`.
+#[derive(Clone, Debug, Default)]
+struct IdLists {
+    offsets: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl IdLists {
+    /// Groups `(key, item)` pairs by key (every key below `keys`), keeping
+    /// each key's items in the order the pairs arrive: a counting sort.
+    fn group(keys: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let mut offsets = vec![0; keys + 1];
+        for (k, _) in pairs.clone() {
+            offsets[k + 1] += 1;
+        }
+        for k in 0..keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets[..keys].to_vec();
+        let mut items = vec![0; offsets[keys]];
+        for (k, item) in pairs {
+            items[next[k]] = item;
+            next[k] += 1;
+        }
+        IdLists { offsets, items }
+    }
+
+    fn get(&self, key: usize) -> &[usize] {
+        &self.items[self.offsets[key]..self.offsets[key + 1]]
+    }
+}
+
 /// The topological invariant `top(I)` of a spatial instance: the maximal
 /// topological cell decomposition together with region membership and the
 /// cyclic orientation of cells around every vertex (Theorem 2.1).
@@ -84,6 +117,8 @@ pub struct TopologicalInvariant {
     component_of_vertex: Vec<ComponentId>,
     component_of_edge: Vec<ComponentId>,
     face_owner: Vec<Option<ComponentId>>,
+    owned_faces: IdLists,
+    face_children: IdLists,
     // The canonical form and its hash, computed once on first use. The
     // invariant is immutable after construction, so the cache can never go
     // stale; cloning an invariant carries the cache along.
@@ -124,6 +159,37 @@ pub struct InvariantParts {
     pub edge_boundary: Vec<RegionSet>,
     /// Per face: regions whose interior contains it.
     pub face_regions: Vec<RegionSet>,
+    /// Index of the exterior face.
+    pub exterior_face: usize,
+}
+
+/// A borrowed view of the same fields as [`InvariantParts`], produced by
+/// [`TopologicalInvariant::parts_ref`] without copying anything. Encoders
+/// read the stored data through it.
+#[derive(Clone, Copy, Debug)]
+pub struct InvariantPartsRef<'a> {
+    /// The schema the invariant was built over.
+    pub schema: &'a Schema,
+    /// Per vertex: edge-end slots in counterclockwise order.
+    pub vertex_slots: &'a [Vec<(usize, u8)>],
+    /// Per vertex: face sectors (sector `i` follows slot `i`).
+    pub vertex_sectors: &'a [Vec<usize>],
+    /// Per vertex: the containing face, for isolated vertices.
+    pub vertex_isolated_face: &'a [Option<usize>],
+    /// Per vertex: regions containing it.
+    pub vertex_regions: &'a [RegionSet],
+    /// Per vertex: regions on whose boundary it lies.
+    pub vertex_boundary: &'a [RegionSet],
+    /// Per edge: endpoints (`None` for closed curves).
+    pub edge_ends: &'a [Option<(usize, usize)>],
+    /// Per edge: the two faces beside it.
+    pub edge_sides: &'a [(usize, usize)],
+    /// Per edge: regions containing it.
+    pub edge_regions: &'a [RegionSet],
+    /// Per edge: regions on whose boundary it lies.
+    pub edge_boundary: &'a [RegionSet],
+    /// Per face: regions whose interior contains it.
+    pub face_regions: &'a [RegionSet],
     /// Index of the exterior face.
     pub exterior_face: usize,
 }
@@ -278,6 +344,8 @@ impl TopologicalInvariant {
             component_of_vertex: Vec::new(),
             component_of_edge: Vec::new(),
             face_owner: Vec::new(),
+            owned_faces: IdLists::default(),
+            face_children: IdLists::default(),
             canonical: OnceLock::new(),
         };
         invariant.compute_components();
@@ -301,6 +369,25 @@ impl TopologicalInvariant {
             edge_regions: self.edge_regions.clone(),
             edge_boundary: self.edge_boundary.clone(),
             face_regions: self.face_regions.clone(),
+            exterior_face: self.exterior_face,
+        }
+    }
+
+    /// The raw stored data of the invariant, borrowed: the fields
+    /// [`to_parts`](Self::to_parts) would copy.
+    pub fn parts_ref(&self) -> InvariantPartsRef<'_> {
+        InvariantPartsRef {
+            schema: &self.schema,
+            vertex_slots: &self.vertex_slots,
+            vertex_sectors: &self.vertex_sectors,
+            vertex_isolated_face: &self.vertex_isolated_face,
+            vertex_regions: &self.vertex_regions,
+            vertex_boundary: &self.vertex_boundary,
+            edge_ends: &self.edge_ends,
+            edge_sides: &self.edge_sides,
+            edge_regions: &self.edge_regions,
+            edge_boundary: &self.edge_boundary,
+            face_regions: &self.face_regions,
             exterior_face: self.exterior_face,
         }
     }
@@ -334,6 +421,8 @@ impl TopologicalInvariant {
             component_of_vertex: Vec::new(),
             component_of_edge: Vec::new(),
             face_owner: Vec::new(),
+            owned_faces: IdLists::default(),
+            face_children: IdLists::default(),
             canonical: OnceLock::new(),
         };
         invariant.compute_components();
@@ -511,67 +600,87 @@ impl TopologicalInvariant {
                 }
             }
         }
-        let mut component_ids: std::collections::HashMap<usize, ComponentId> =
-            std::collections::HashMap::new();
+        // Component ids in order of first appearance (vertices, then edges),
+        // indexed by union-find root.
+        let mut component_of_root = vec![usize::MAX; nv + ne];
         let mut components: Vec<Component> = Vec::new();
-        let mut component_of_vertex = vec![0; nv];
-        let mut component_of_edge = vec![0; ne];
-        for (v, comp) in component_of_vertex.iter_mut().enumerate() {
-            let root = find(&mut parent, v);
-            let id = *component_ids.entry(root).or_insert_with(|| {
+        let mut component_of_cell = Vec::with_capacity(nv + ne);
+        for cell in 0..nv + ne {
+            let root = find(&mut parent, cell);
+            if component_of_root[root] == usize::MAX {
+                component_of_root[root] = components.len();
                 components.push(Component::default());
-                components.len() - 1
-            });
-            components[id].vertices.push(v);
-            *comp = id;
+            }
+            let id = component_of_root[root];
+            if cell < nv {
+                components[id].vertices.push(cell);
+            } else {
+                components[id].edges.push(cell - nv);
+            }
+            component_of_cell.push(id);
         }
-        for (e, comp) in component_of_edge.iter_mut().enumerate() {
-            let root = find(&mut parent, nv + e);
-            let id = *component_ids.entry(root).or_insert_with(|| {
-                components.push(Component::default());
-                components.len() - 1
-            });
-            components[id].edges.push(e);
-            *comp = id;
-        }
+        self.component_of_edge = component_of_cell.split_off(nv);
+        self.component_of_vertex = component_of_cell;
         self.components = components;
-        self.component_of_vertex = component_of_vertex;
-        self.component_of_edge = component_of_edge;
     }
 
     /// Builds the connected-component tree of the paper (Fig. 2): a
     /// level-order traversal from the exterior face assigns to every face the
     /// unique closest component owning it and to every component the face it
     /// is embedded in.
+    ///
+    /// Linear in the invariant's size: the face–component incidences are
+    /// grouped once into per-face component lists and per-component face
+    /// lists (both sorted and deduplicated), and the traversal walks those
+    /// lists instead of scanning every face for every component.
     fn compute_component_tree(&mut self) {
         let face_count = self.face_count();
-        // Adjacency between faces and components.
-        let mut face_components: Vec<std::collections::HashSet<ComponentId>> =
-            vec![std::collections::HashSet::new(); face_count];
+        let component_count = self.components.len();
+        // Every (face, component) incidence, duplicates included.
+        let mut incidences: Vec<(usize, ComponentId)> = Vec::new();
         for e in 0..self.edge_count() {
             let c = self.component_of_edge[e];
             let (a, b) = self.edge_sides[e];
-            face_components[a].insert(c);
-            face_components[b].insert(c);
+            incidences.push((a, c));
+            incidences.push((b, c));
         }
         for v in 0..self.vertex_count() {
             let c = self.component_of_vertex[v];
-            for &f in &self.vertex_sectors[v] {
-                face_components[f].insert(c);
-            }
+            incidences.extend(self.vertex_sectors[v].iter().map(|&f| (f, c)));
             if self.vertex_slots[v].is_empty() {
                 if let Some(f) = self.vertex_isolated_face[v] {
-                    face_components[f].insert(c);
+                    incidences.push((f, c));
                 }
             }
         }
+        // Walking the incidences component by component and keeping each
+        // face once per component yields per-face lists sorted by component;
+        // inverting those face by face yields per-component lists sorted by
+        // face.
+        let raw = IdLists::group(component_count, incidences.iter().map(|&(f, c)| (c, f)));
+        let mut last_component = vec![usize::MAX; face_count];
+        incidences.clear();
+        for c in 0..component_count {
+            for &f in raw.get(c) {
+                if last_component[f] != c {
+                    last_component[f] = c;
+                    incidences.push((f, c));
+                }
+            }
+        }
+        let face_components = IdLists::group(face_count, incidences.iter().copied());
+        let component_faces = IdLists::group(
+            component_count,
+            (0..face_count).flat_map(|f| face_components.get(f).iter().map(move |&c| (c, f))),
+        );
+
         let mut face_owner: Vec<Option<ComponentId>> = vec![None; face_count];
-        let mut component_assigned = vec![false; self.components.len()];
+        let mut component_assigned = vec![false; component_count];
         let mut queue: std::collections::VecDeque<(ComponentId, usize, usize)> =
             std::collections::VecDeque::new();
         // The exterior face is owned by nobody; its adjacent components are the
         // roots of the forest (depth 0, parent = exterior face).
-        for &c in &face_components[self.exterior_face] {
+        for &c in face_components.get(self.exterior_face) {
             if !component_assigned[c] {
                 component_assigned[c] = true;
                 queue.push_back((c, self.exterior_face, 0));
@@ -582,15 +691,12 @@ impl TopologicalInvariant {
             self.components[c].depth = depth;
             // Faces adjacent to this component that are not yet owned belong
             // to it.
-            let adjacent_faces: Vec<usize> = (0..face_count)
-                .filter(|&f| f != self.exterior_face && face_components[f].contains(&c))
-                .collect();
-            for f in adjacent_faces {
-                if face_owner[f].is_some() {
+            for &f in component_faces.get(c) {
+                if f == self.exterior_face || face_owner[f].is_some() {
                     continue;
                 }
                 face_owner[f] = Some(c);
-                for &child in &face_components[f] {
+                for &child in face_components.get(f) {
                     if !component_assigned[child] {
                         component_assigned[child] = true;
                         queue.push_back((child, f, depth + 1));
@@ -598,6 +704,14 @@ impl TopologicalInvariant {
                 }
             }
         }
+        self.owned_faces = IdLists::group(
+            component_count,
+            face_owner.iter().enumerate().filter_map(|(f, owner)| owner.map(|c| (c, f))),
+        );
+        self.face_children = IdLists::group(
+            face_count,
+            self.components.iter().enumerate().map(|(c, comp)| (comp.parent_face, c)),
+        );
         self.face_owner = face_owner;
     }
 
@@ -624,14 +738,14 @@ impl TopologicalInvariant {
     }
 
     /// The faces owned by a component, sorted.
-    pub fn owned_faces(&self, component: ComponentId) -> Vec<usize> {
-        (0..self.face_count()).filter(|&f| self.face_owner[f] == Some(component)).collect()
+    pub fn owned_faces(&self, component: ComponentId) -> &[usize] {
+        self.owned_faces.get(component)
     }
 
     /// The components directly embedded in a face (the children of the face in
-    /// the component tree).
-    pub fn components_in_face(&self, face: usize) -> Vec<ComponentId> {
-        (0..self.components.len()).filter(|&c| self.components[c].parent_face == face).collect()
+    /// the component tree), sorted.
+    pub fn components_in_face(&self, face: usize) -> &[ComponentId] {
+        self.face_children.get(face)
     }
 
     // ----- boundary walks ----------------------------------------------------

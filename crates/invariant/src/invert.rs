@@ -78,7 +78,7 @@ pub fn invert(invariant: &TopologicalInvariant) -> Result<SpatialInstance, Inver
     // parent's drawing.
     let mut layout = Layout::new(invariant);
     let top_level = invariant.components_in_face(invariant.exterior_face());
-    layout.place_children(&top_level, 0, 0, 1 << 24);
+    layout.place_children(top_level, 0, 0, 1 << 24);
 
     // Region reconstruction from the membership relations.
     let mut instance = SpatialInstance::new(invariant.schema().clone());
@@ -196,9 +196,10 @@ impl<'a> Layout<'a> {
         ];
         self.component_square[component] = Some(square);
         // The owned (inner) face hosts this component's children.
-        for face in self.invariant.owned_faces(component) {
-            let children = self.invariant.components_in_face(face);
-            self.place_children(&children, x0 + size / 8, y0 + size / 8, (3 * size) / 4);
+        let invariant = self.invariant;
+        for &face in invariant.owned_faces(component) {
+            let children = invariant.components_in_face(face);
+            self.place_children(children, x0 + size / 8, y0 + size / 8, (3 * size) / 4);
         }
     }
 }

@@ -48,7 +48,7 @@ pub use complex::{CellId, Complex, RegionSet};
 pub use construct::build_complex;
 pub use invariant::{
     BoundaryComponent, CellKind, Component, ComponentId, ConeItem, InvariantParts,
-    TopologicalInvariant,
+    InvariantPartsRef, TopologicalInvariant,
 };
 pub use invert::{invert, invert_verified};
 pub use maintain::{MaintainStats, MaintainedInvariant};

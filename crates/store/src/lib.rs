@@ -545,7 +545,7 @@ impl InvariantStore {
         if self.persistence.is_some() {
             // Appended while both locks are held, so the WAL order is exactly
             // the id-assignment order: recovery always sees a prefix.
-            self.wal_ingest(&classes, id, class, admitted);
+            self.wal_class_record(persist::TAG_INGEST, &classes, id, class, admitted);
         }
         if admitted {
             IngestOutcome::Admitted(id)

@@ -24,8 +24,10 @@
 //! followed by a single framed record holding the full live state: the next
 //! WAL sequence number, the slot counts (so dead ids stay dead after
 //! recovery), every live class `(class, code_hash, invariant)` and every
-//! live instance `(id, class)`. Invariants are serialised through
-//! [`topo_invariant::InvariantParts`], and each class record carries its
+//! live instance `(id, class)`. Invariants are serialised field by field as
+//! [`topo_invariant::InvariantParts`] lists them (encoded from the borrowed
+//! [`topo_invariant::InvariantPartsRef`] view, decoded back into parts), and
+//! each class record carries its
 //! already-computed [`CodeHash`] — **recovery never re-canonicalises**.
 //!
 //! # Recovery contract
@@ -70,17 +72,19 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 /// Current snapshot/WAL format version.
 pub const FORMAT_VERSION: u32 = 1;
 
-const TAG_INGEST: u8 = 0x01;
+pub(crate) const TAG_INGEST: u8 = 0x01;
 const TAG_REMOVE: u8 = 0x02;
-const TAG_UPDATE: u8 = 0x03;
+pub(crate) const TAG_UPDATE: u8 = 0x03;
 
 // ---------------------------------------------------------------------------
 // checksum
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven; the table is
-/// built at compile time so the hot path is one lookup per byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup tables for
+/// slicing-by-8, built at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k`
+/// zero bytes, so one step folds eight input bytes with eight lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -89,17 +93,41 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 checksum of a byte slice (IEEE polynomial).
+/// CRC-32 checksum of a byte slice (IEEE polynomial), eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -307,6 +335,20 @@ impl Enc {
         self.usize32(v.len());
         self.buf.extend_from_slice(v);
     }
+
+    /// Appends one framed record, `[len][payload][crc32]`: `payload` writes
+    /// straight into the buffer after a length placeholder, which is patched
+    /// once the payload's size is known.
+    fn frame(&mut self, payload: impl FnOnce(&mut Enc)) {
+        let start = self.buf.len();
+        self.u32(0);
+        payload(self);
+        let body = &self.buf[start + 4..];
+        let len = u32::try_from(body.len()).expect("frame payload exceeds u32 range");
+        let crc = crc32(body);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.u32(crc);
+    }
 }
 
 pub(crate) struct Dec<'a> {
@@ -359,15 +401,6 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Frames a payload: `[len][payload][crc32]`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
-}
-
 /// Result of pulling one frame off a byte stream.
 enum Frame<'a> {
     /// A complete, checksum-valid payload plus the remaining stream.
@@ -402,9 +435,8 @@ fn next_frame(stream: &[u8]) -> Frame<'_> {
 // invariant (de)serialisation
 
 fn encode_region_set(enc: &mut Enc, set: &topo_invariant::RegionSet) {
-    let members: Vec<usize> = set.iter().collect();
-    enc.usize32(members.len());
-    for m in members {
+    enc.usize32(set.len());
+    for m in set.iter() {
         enc.usize32(m);
     }
 }
@@ -445,9 +477,10 @@ fn decode_opt_usize(dec: &mut Dec<'_>, what: &str) -> Result<Option<usize>, Pers
     }
 }
 
-/// Serialises an invariant through its [`InvariantParts`] view.
+/// Serialises an invariant through its borrowed
+/// [`InvariantPartsRef`](topo_invariant::InvariantPartsRef) view.
 pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) {
-    let parts = invariant.to_parts();
+    let parts = invariant.parts_ref();
     enc.usize32(parts.schema.len());
     for (_, name) in parts.schema.iter() {
         enc.bytes(name.as_bytes());
@@ -484,7 +517,7 @@ pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) 
         encode_region_set(enc, &parts.edge_boundary[e]);
     }
     enc.usize32(parts.face_regions.len());
-    for face in &parts.face_regions {
+    for face in parts.face_regions {
         encode_region_set(enc, face);
     }
     enc.usize32(parts.exterior_face);
@@ -675,32 +708,6 @@ impl InvariantStore {
         self.persistence.is_some()
     }
 
-    /// Appends an ingest record; called with the class/instance write locks
-    /// held so seq order equals id order. Backend failure is counted, not
-    /// propagated — see the module docs.
-    pub(crate) fn wal_ingest(
-        &self,
-        classes: &ClassTable,
-        id: InstanceId,
-        class: ClassId,
-        new_class: bool,
-    ) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        enc.u8(TAG_INGEST);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        enc.u64(class as u64);
-        enc.u64(classes.hashes[class].as_u64());
-        enc.u8(new_class as u8);
-        if new_class {
-            let rep = classes.reps[class].as_ref().expect("new class has a representative");
-            encode_invariant(&mut enc, rep);
-        }
-        self.append_framed(persistence, &enc.buf);
-    }
-
     /// Appends a batch of ingest records in **one** backend write; called
     /// with the class/instance write locks held so seq order equals id
     /// order. Each record is framed individually — recovery and torn-tail
@@ -721,39 +728,36 @@ impl InvariantStore {
             self.counters.wal_errors.fetch_add(records.len() as u64, Ordering::Relaxed);
             return;
         }
-        let mut buf = Vec::new();
+        let mut enc = Enc::new();
         for &(id, class, new_class) in records {
             let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-            let mut enc = Enc::new();
-            enc.u8(TAG_INGEST);
-            enc.u64(seq);
-            enc.u64(id as u64);
-            enc.u64(class as u64);
-            enc.u64(classes.hashes[class].as_u64());
-            enc.u8(new_class as u8);
-            if new_class {
-                let rep = classes.reps[class].as_ref().expect("new class has a representative");
-                encode_invariant(&mut enc, rep);
-            }
-            buf.extend_from_slice(&frame(&enc.buf));
+            push_class_record(&mut enc, TAG_INGEST, seq, classes, id, class, new_class);
         }
-        match persistence.backend.append_wal(&buf) {
-            Ok(()) => {
-                self.counters.wal_appends.fetch_add(records.len() as u64, Ordering::Relaxed);
-            }
-            Err(_) => {
-                persistence.broken.store(true, Ordering::SeqCst);
-                self.counters.wal_errors.fetch_add(records.len() as u64, Ordering::Relaxed);
-            }
-        }
+        self.append_records(persistence, &enc.buf, records.len());
     }
 
-    /// Appends an update record — the single-record re-point of a live
-    /// instance at a (possibly new) class; called with the write locks held
-    /// *after* the tables reflect the update, so `classes` carries the new
-    /// class's hash and representative.
-    pub(crate) fn wal_update(
+    /// Appends a removal record; called with the write locks held.
+    pub(crate) fn wal_remove(&self, id: InstanceId) {
+        let Some(persistence) = &self.persistence else { return };
+        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
+        let mut enc = Enc::new();
+        enc.frame(|enc| {
+            enc.u8(TAG_REMOVE);
+            enc.u64(seq);
+            enc.u64(id as u64);
+        });
+        self.append_records(persistence, &enc.buf, 1);
+    }
+
+    /// Appends one ingest ([`TAG_INGEST`]) or update ([`TAG_UPDATE`]: the
+    /// re-point of a live instance at a possibly new class) record. Called
+    /// with the class/instance write locks held so seq order equals
+    /// operation order, and for an update *after* the tables reflect it, so
+    /// `classes` carries the target class's hash and representative.
+    /// Backend failure is counted, not propagated — see the module docs.
+    pub(crate) fn wal_class_record(
         &self,
+        tag: u8,
         classes: &ClassTable,
         id: InstanceId,
         class: ClassId,
@@ -762,7 +766,44 @@ impl InvariantStore {
         let Some(persistence) = &self.persistence else { return };
         let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
         let mut enc = Enc::new();
-        enc.u8(TAG_UPDATE);
+        push_class_record(&mut enc, tag, seq, classes, id, class, new_class);
+        self.append_records(persistence, &enc.buf, 1);
+    }
+
+    /// Hands `records` framed records to the backend in one append, unless
+    /// the log is broken; counts them as appended or as errors.
+    fn append_records(&self, persistence: &Persistence, framed: &[u8], records: usize) {
+        let records = records as u64;
+        if persistence.broken.load(Ordering::SeqCst) {
+            self.counters.wal_errors.fetch_add(records, Ordering::Relaxed);
+            return;
+        }
+        match persistence.backend.append_wal(framed) {
+            Ok(()) => {
+                self.counters.wal_appends.fetch_add(records, Ordering::Relaxed);
+            }
+            Err(_) => {
+                persistence.broken.store(true, Ordering::SeqCst);
+                self.counters.wal_errors.fetch_add(records, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Appends one framed ingest or update record to `enc`: instance `id` now
+/// sits in `class`, and a record that creates the class carries its
+/// representative.
+fn push_class_record(
+    enc: &mut Enc,
+    tag: u8,
+    seq: u64,
+    classes: &ClassTable,
+    id: InstanceId,
+    class: ClassId,
+    new_class: bool,
+) {
+    enc.frame(|enc| {
+        enc.u8(tag);
         enc.u64(seq);
         enc.u64(id as u64);
         enc.u64(class as u64);
@@ -770,63 +811,34 @@ impl InvariantStore {
         enc.u8(new_class as u8);
         if new_class {
             let rep = classes.reps[class].as_ref().expect("new class has a representative");
-            encode_invariant(&mut enc, rep);
+            encode_invariant(enc, rep);
         }
-        self.append_framed(persistence, &enc.buf);
-    }
-
-    /// Appends a removal record; called with the write locks held.
-    pub(crate) fn wal_remove(&self, id: InstanceId) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        enc.u8(TAG_REMOVE);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        self.append_framed(persistence, &enc.buf);
-    }
-
-    fn append_framed(&self, persistence: &Persistence, payload: &[u8]) {
-        if persistence.broken.load(Ordering::SeqCst) {
-            self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        match persistence.backend.append_wal(&frame(payload)) {
-            Ok(()) => {
-                self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                persistence.broken.store(true, Ordering::SeqCst);
-                self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    });
 }
 
 fn encode_snapshot(seq: u64, classes: &ClassTable, instances: &InstanceTable) -> Vec<u8> {
-    let mut body = Enc::new();
-    body.u64(seq);
-    body.u64(classes.reps.len() as u64);
-    body.u64(instances.slots.len() as u64);
-    body.u64(classes.live as u64);
-    for (class, rep) in classes.reps.iter().enumerate() {
-        let Some(rep) = rep else { continue };
-        body.u64(class as u64);
-        body.u64(classes.hashes[class].as_u64());
-        encode_invariant(&mut body, rep);
-    }
-    body.u64(instances.live as u64);
-    for (id, slot) in instances.slots.iter().enumerate() {
-        let Some(class) = slot else { continue };
-        body.u64(id as u64);
-        body.u64(*class as u64);
-    }
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&frame(&body.buf));
-    out
+    let mut out = Enc::new();
+    out.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.u32(FORMAT_VERSION);
+    out.frame(|body| {
+        body.u64(seq);
+        body.u64(classes.reps.len() as u64);
+        body.u64(instances.slots.len() as u64);
+        body.u64(classes.live as u64);
+        for (class, rep) in classes.reps.iter().enumerate() {
+            let Some(rep) = rep else { continue };
+            body.u64(class as u64);
+            body.u64(classes.hashes[class].as_u64());
+            encode_invariant(body, rep);
+        }
+        body.u64(instances.live as u64);
+        for (id, slot) in instances.slots.iter().enumerate() {
+            let Some(class) = slot else { continue };
+            body.u64(id as u64);
+            body.u64(*class as u64);
+        }
+    });
+    out.buf
 }
 
 fn decode_snapshot(
@@ -1064,11 +1076,52 @@ mod persist_tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The definition the tables are derived from: the reflected IEEE
+    /// polynomial applied one bit at a time, one byte after another.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    /// Slicing-by-8 against the reference on seeded random bytes: every
+    /// length up to 72 (all remainders, around one and several 8-byte
+    /// steps), seeded lengths up to 4096 and 4096 itself, each starting at
+    /// all eight alignments of the buffer.
+    #[test]
+    fn crc32_slicing_by_8_matches_the_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let buffer: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        let lengths: Vec<usize> =
+            (0..=72).chain((0..160).map(|_| (next() % 4097) as usize)).chain([4096]).collect();
+        for len in lengths {
+            for start in 0..8 {
+                let bytes = &buffer[start..start + len];
+                assert_eq!(crc32(bytes), crc32_reference(bytes), "len {len} at offset {start}");
+            }
+        }
     }
 
     #[test]
     fn frame_roundtrip_and_torn_detection() {
-        let framed = frame(b"hello");
+        let mut enc = Enc::new();
+        enc.frame(|enc| enc.buf.extend_from_slice(b"hello"));
+        let framed = enc.buf;
         match next_frame(&framed) {
             Frame::Ok(payload, rest) => {
                 assert_eq!(payload, b"hello");

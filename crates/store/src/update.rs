@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use topo_invariant::TopologicalInvariant;
 
+use crate::persist::TAG_UPDATE;
 use crate::{gc, write_recover, ClassTable, IngestOutcome, InstanceId, InvariantStore};
 
 /// Inserts `id` into a class member list keeping the list sorted by
@@ -82,7 +83,7 @@ impl InvariantStore {
                 // reproduce the (idempotent) transition and the seq stream.
                 self.counters.updates.fetch_add(1, Ordering::Relaxed);
                 if self.persistence.is_some() {
-                    self.wal_update(&classes, id, old_class, false);
+                    self.wal_class_record(TAG_UPDATE, &classes, id, old_class, false);
                 }
                 return Some(IngestOutcome::Deduplicated(id));
             }
@@ -121,7 +122,7 @@ impl InvariantStore {
             if self.persistence.is_some() {
                 // One record for the whole transition, appended while both
                 // locks are held so WAL order stays operation order.
-                self.wal_update(&classes, id, class, admitted);
+                self.wal_class_record(TAG_UPDATE, &classes, id, class, admitted);
             }
             let outcome = if admitted {
                 IngestOutcome::Admitted(id)
