@@ -152,9 +152,9 @@ fn e4_orderings() {
     header("E4  Parameterised orderings (Lemma 3.1 / Theorem 3.2)");
     let instance = datagen::figure1();
     let invariant = top(&instance);
-    let orderings = all_invariant_orderings(&invariant, 512);
+    let (orderings, duration) = timed(|| all_invariant_orderings(&invariant, 512));
     println!(
-        "figure-1 instance: {} components, {} cells, {} orderings generated",
+        "figure-1 instance: {} components, {} cells, {} orderings generated in {duration:.1?}",
         invariant.components().len(),
         invariant.cell_count(),
         orderings.len()

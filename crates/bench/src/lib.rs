@@ -2,12 +2,12 @@
 //!
 //! The `experiments` binary regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md, "Experiment / figure / table index"); the
-//! Criterion benches measure the same pipelines with statistical rigour.
-//! Between them they exercise invariant construction (Theorem 2.1),
-//! inversion (Theorem 2.2), the Lemma 3.1 orderings, the fixpoint
-//! translations (Theorems 4.1/4.2), the single-region `FO_inv` translation
-//! (Theorem 4.9), and the four evaluation strategies of the
-//! practical-considerations section.
+//! `bench_runner` binary records per-stage medians against the frozen
+//! reference paths as one flat table of [`Row`]s. Between them they exercise
+//! invariant construction (Theorem 2.1), inversion (Theorem 2.2), the
+//! Lemma 3.1 orderings, the fixpoint translations (Theorems 4.1/4.2), the
+//! single-region `FO_inv` translation (Theorem 4.9), and the four evaluation
+//! strategies of the practical-considerations section.
 
 use std::time::{Duration, Instant};
 use topo_core::{InvariantStats, SpatialInstance, TopologicalInvariant};
@@ -169,6 +169,164 @@ pub fn build_invariant(instance: &SpatialInstance) -> (TopologicalInvariant, Dur
     timed(|| topo_core::top(instance))
 }
 
+/// One measurement of `bench_runner`. Every stage reports through this one
+/// type, so a single writer ([`rows_json`]) and a single printer
+/// ([`print_rows`]) cover the whole record.
+#[derive(Debug)]
+pub struct Row {
+    /// The `--stage` that measured it.
+    pub stage: &'static str,
+    /// The workload it was measured on.
+    pub workload: &'static str,
+    /// The stage's size parameter: a datagen grid, or the homeomorphic
+    /// copies per base of the store and recovery mixes.
+    pub scale: usize,
+    /// What was measured.
+    pub metric: &'static str,
+    /// The median or count; `None` for a skipped reference path.
+    pub value: Option<f64>,
+    /// `ns`, `count`, `bytes` or `ratio`.
+    pub unit: &'static str,
+    /// Samples behind `value`: 1 for a single run or a count, 0 if skipped.
+    pub samples_used: usize,
+    /// The global pool size (`topo_core::parallel::global_threads`) when the
+    /// row was recorded.
+    pub pool_threads: usize,
+    /// The cores the process could use.
+    pub host_threads: usize,
+}
+
+/// The rows of one run. Stages push through [`Rows::at`], which stamps
+/// every row with the current `stage` and `host_threads`.
+#[derive(Debug, Default)]
+pub struct Rows {
+    /// The stage currently recording.
+    pub stage: &'static str,
+    /// The cores the process could use.
+    pub host_threads: usize,
+    /// Every row so far, in recording order.
+    pub rows: Vec<Row>,
+}
+
+impl Rows {
+    /// A recorder for one (workload, scale) point of the current stage.
+    pub fn at(&mut self, workload: &'static str, scale: usize) -> At<'_> {
+        At { rows: self, workload, scale }
+    }
+}
+
+/// Pushes rows for one (workload, scale) point; see [`Rows::at`].
+pub struct At<'a> {
+    rows: &'a mut Rows,
+    workload: &'static str,
+    scale: usize,
+}
+
+impl At<'_> {
+    /// Records one row.
+    pub fn push(
+        &mut self,
+        metric: &'static str,
+        value: Option<f64>,
+        unit: &'static str,
+        samples_used: usize,
+    ) {
+        let rows = &mut *self.rows;
+        rows.rows.push(Row {
+            stage: rows.stage,
+            workload: self.workload,
+            scale: self.scale,
+            metric,
+            value,
+            unit,
+            samples_used,
+            pool_threads: topo_core::parallel::global_threads(),
+            host_threads: rows.host_threads,
+        });
+    }
+
+    /// A median of `samples_used` timed runs, in nanoseconds.
+    pub fn ns(&mut self, metric: &'static str, ns: u128, samples_used: usize) {
+        self.push(metric, Some(ns as f64), "ns", samples_used);
+    }
+
+    /// A reference-path median, or a skipped one (`null`, 0 samples).
+    pub fn reference(&mut self, metric: &'static str, measured: Option<(u128, usize)>) {
+        match measured {
+            Some((ns, samples_used)) => self.ns(metric, ns, samples_used),
+            None => self.push(metric, None, "ns", 0),
+        }
+    }
+
+    /// A count read once.
+    pub fn count(&mut self, metric: &'static str, n: u64) {
+        self.push(metric, Some(n as f64), "count", 1);
+    }
+}
+
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+fn value_text(value: Option<f64>, missing: &str) -> String {
+    match value {
+        Some(v) if v.is_finite() => v.to_string(),
+        _ => missing.to_string(),
+    }
+}
+
+/// The JSON record of one run: a short header and one row per line.
+pub fn rows_json(mode: &str, datagen_seed: u64, stages_run: &[&str], rows: &[Row]) -> String {
+    let stages: Vec<String> = stages_run.iter().map(|s| json_str(s)).collect();
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"stage\": {}, \"workload\": {}, \"scale\": {}, \"metric\": {}, \"value\": {}, \
+                 \"unit\": {}, \"samples_used\": {}, \"pool_threads\": {}, \"host_threads\": {}}}",
+                json_str(r.stage),
+                json_str(r.workload),
+                r.scale,
+                json_str(r.metric),
+                value_text(r.value, "null"),
+                json_str(r.unit),
+                r.samples_used,
+                r.pool_threads,
+                r.host_threads,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"mode\": {},\n  \"datagen_seed\": {datagen_seed},\n  \"stages_run\": [{}],\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        json_str(mode),
+        stages.join(", "),
+        lines.join(",\n")
+    )
+}
+
+/// Prints the rows as an aligned table on stderr.
+pub fn print_rows(rows: &[Row]) {
+    eprintln!(
+        "{:<12} {:<17} {:>5} {:<23} {:>18} {:<5} {:>7} {:>4} {:>4}",
+        "stage", "workload", "scale", "metric", "value", "unit", "samples", "pool", "host"
+    );
+    for r in rows {
+        eprintln!(
+            "{:<12} {:<17} {:>5} {:<23} {:>18} {:<5} {:>7} {:>4} {:>4}",
+            r.stage,
+            r.workload,
+            r.scale,
+            r.metric,
+            value_text(r.value, "skipped"),
+            r.unit,
+            r.samples_used,
+            r.pool_threads,
+            r.host_threads
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,5 +358,26 @@ mod tests {
         let mut runs = 0u32;
         let _ = median_ns(4, || runs += 1);
         assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn row_writer_emits_null_for_skipped_medians_and_escapes_names() {
+        let mut rows = Rows { stage: "demand", host_threads: 2, rows: Vec::new() };
+        let mut at = rows.at("a \"quoted\" mix", 5);
+        at.reference("quadratic_naive", None);
+        at.ns("linear_goal", 1250, 15);
+        let json = rows_json("quick", 7, &["demand"], &rows.rows);
+        assert!(json.contains("\"stages_run\": [\"demand\"]"), "{json}");
+        assert!(json.contains("\"workload\": \"a \\\"quoted\\\" mix\""), "{json}");
+        assert!(
+            json.contains(
+                "\"metric\": \"quadratic_naive\", \"value\": null, \"unit\": \"ns\", \
+                           \"samples_used\": 0"
+            ),
+            "{json}"
+        );
+        assert!(json.contains("\"value\": 1250, \"unit\": \"ns\", \"samples_used\": 15"), "{json}");
+        assert_eq!(json.lines().filter(|l| l.starts_with("    {\"stage\"")).count(), 2);
+        assert!(rows.rows.iter().all(|r| r.host_threads == 2 && r.pool_threads >= 1));
     }
 }
