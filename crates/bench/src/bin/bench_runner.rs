@@ -70,8 +70,8 @@ const STORE_QUERY_ROUNDS: usize = 2;
 const STORE_QUERY_ROUNDS_QUICK: usize = 1;
 /// Pool sizes the parallel stage sweeps (1 is the sequential fallback).
 const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Workload grid for the parallel stage: the largest construction scale (the
-/// hot case the pool exists for), smaller in quick mode.
+/// Workload grid for the parallel stage's single-instance reference rows: the
+/// largest construction scale, smaller in quick mode.
 const PARALLEL_GRID: usize = 28;
 const PARALLEL_GRID_QUICK: usize = 12;
 /// Scales for the incremental-maintenance stage: a small grid where full
@@ -552,9 +552,11 @@ fn measure_persist(rows: &mut Rows, ctx: &Ctx) {
 }
 
 /// Sweeps the in-tree thread pool over [`PARALLEL_THREADS`], measuring the
-/// end-to-end `top(I)` build, a cold canonicalisation and the batched store
-/// ingest at each pool size on the hydro workload. The pool size is set via
-/// `topo_parallel::set_global_threads` — the same switch `TOPO_THREADS`
+/// batched store ingest — the one path that fans out, per instance — at each
+/// pool size. The end-to-end `top(I)` build and a cold canonicalisation of
+/// the hydro workload are sequential at every pool size, so they are timed
+/// once, at pool 1, as the single-instance reference. The pool size is set
+/// via `topo_parallel::set_global_threads` — the same switch `TOPO_THREADS`
 /// feeds — and restored afterwards, so each row's `pool_threads` is the size
 /// it was measured at. On a host with fewer cores than the sweep asks for,
 /// the curve goes flat instead of up.
@@ -580,10 +582,11 @@ fn measure_parallel(rows: &mut Rows, ctx: &Ctx) {
     at.count("batch_size", batch.len() as u64);
 
     let previous = topo_core::parallel::global_threads();
+    topo_core::parallel::set_global_threads(1);
+    at.ns("top", median_ns(samples, || topo_core::top(&instance)), samples);
+    at.ns("canonical", cold_canonical_ns(&instance, samples), samples);
     for threads in PARALLEL_THREADS {
         topo_core::parallel::set_global_threads(threads);
-        at.ns("top", median_ns(samples, || topo_core::top(&instance)), samples);
-        at.ns("canonical", cold_canonical_ns(&instance, samples), samples);
         let batch_ingest_ns = median_ns_with(samples, InvariantStore::default, |store| {
             store.try_ingest_batch(&batch);
             store

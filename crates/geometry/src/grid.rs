@@ -16,7 +16,6 @@
 use crate::bbox::BBox;
 use crate::lattice::BoxLattice;
 use crate::segment::Segment;
-use topo_parallel::Pool;
 
 /// A uniform spatial hash over segments.
 pub struct SegmentGrid {
@@ -37,44 +36,26 @@ impl SegmentGrid {
     }
 
     /// All pairs `(i, j)` with `i < j` whose grid cells overlap and whose
-    /// exact bounding boxes intersect. Every actually-intersecting pair of
-    /// segments is included.
+    /// exact bounding boxes intersect, sorted ascending and unique. Every
+    /// actually-intersecting pair of segments is included.
     pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
-        self.candidate_pairs_pooled(Pool::with_threads(1))
-    }
-
-    /// [`SegmentGrid::candidate_pairs`] fanned out over `pool`: bucket
-    /// enumeration and the exact bounding-box filter run per contiguous
-    /// bucket/pair chunk. The output is bit-identical at every thread count:
-    /// chunked generation concatenated in chunk order yields the same pair
-    /// sequence as the sequential scan, the global sort + dedup erases any
-    /// remaining boundary sensitivity, and the filter preserves order.
-    pub fn candidate_pairs_pooled(&self, pool: Pool) -> Vec<(usize, usize)> {
-        let buckets: Vec<&[u32]> = self.lattice.occupied_buckets().collect();
-        let per_chunk: Vec<Vec<(u32, u32)>> = pool.par_chunks(&buckets, 64, |_, chunk| {
-            let mut pairs = Vec::new();
-            for bucket in chunk {
-                for (k, &i) in bucket.iter().enumerate() {
-                    for &j in &bucket[k + 1..] {
-                        pairs.push(if i < j { (i, j) } else { (j, i) });
-                    }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for bucket in self.lattice.occupied_buckets() {
+            for (k, &i) in bucket.iter().enumerate() {
+                for &j in &bucket[k + 1..] {
+                    pairs.push(if i < j { (i, j) } else { (j, i) });
                 }
             }
-            pairs
-        });
-        let mut pairs: Vec<(u32, u32)> = per_chunk.into_iter().flatten().collect();
+        }
         // Segments sharing several cells produce the same pair repeatedly;
         // sort + dedup replaces the hash set the seed used here.
         pairs.sort_unstable();
         pairs.dedup();
-        let filtered: Vec<Vec<(usize, usize)>> = pool.par_chunks(&pairs, 1024, |_, chunk| {
-            chunk
-                .iter()
-                .filter(|&&(i, j)| self.boxes[i as usize].intersects(&self.boxes[j as usize]))
-                .map(|&(i, j)| (i as usize, j as usize))
-                .collect()
-        });
-        filtered.into_iter().flatten().collect()
+        pairs
+            .into_iter()
+            .filter(|&(i, j)| self.boxes[i as usize].intersects(&self.boxes[j as usize]))
+            .map(|(i, j)| (i as usize, j as usize))
+            .collect()
     }
 
     /// Indices of segments whose bounding box intersects `query`, sorted

@@ -1,40 +1,31 @@
-//! In-tree scoped thread pool for the construction pipeline.
+//! In-tree scoped thread pool for per-instance fan-out.
 //!
 //! The build environment has no crates.io access, so this crate provides the
-//! small slice of rayon-style fan-out the pipeline actually needs, on
-//! [`std::thread::scope`] alone and entirely in safe Rust:
-//!
-//! - [`Pool::par_chunks`] — split a slice into contiguous chunks, run a
-//!   closure per chunk on the pool, return the per-chunk results **in chunk
-//!   order**. Because chunks are contiguous and results are concatenated in
-//!   order, any caller that only concatenates (or order-insensitively merges)
-//!   per-chunk output sees a result independent of the chunk boundaries —
-//!   and therefore of the thread count.
-//! - [`Pool::par_map_collect`] — per-item map with the output in item order,
-//!   bit-identical to `items.iter().map(f).collect()` by construction.
-//! - [`Pool::par_chunks_mut`] — in-place per-chunk mutation (disjoint
-//!   `chunks_mut` slices, so element-local work like per-vertex sorting is
-//!   deterministic trivially).
-//! - [`Pool::scope`] — run a vector of heterogeneous-workload closures,
-//!   results in spawn order; [`Pool::join`] is the two-task special case.
+//! one rayon-style primitive the system needs, on [`std::thread::scope`]
+//! alone and entirely in safe Rust: [`Pool::par_map_collect`], a per-item
+//! map with the output in item order, bit-identical to
+//! `items.iter().map(f).collect()` by construction. Its one library caller
+//! is the store's batch ingest, which builds and canonicalises independent
+//! instances; construction and canonicalisation of a single instance are
+//! sequential.
 //!
 //! There is no work stealing and no persistent worker state: every call
-//! spawns scoped threads that pull chunk indices from one atomic counter and
-//! write results into per-index slots, so scheduling order can never leak
-//! into the output. The calling thread participates as a worker.
+//! spawns scoped threads that pull contiguous chunk indices from one atomic
+//! counter and write results into per-index slots, so scheduling order can
+//! never leak into the output. The calling thread participates as a worker.
 //!
 //! **Pool size.** [`Pool::global`] sizes itself from the `TOPO_THREADS`
 //! environment variable (read once), falling back to
 //! [`std::thread::available_parallelism`]; [`set_global_threads`] overrides
 //! it at runtime (used by the determinism test sweeps and by services that
-//! size the pool from their own config). At 1 thread every entry point runs
-//! the plain sequential loop on the calling thread — no spawns, guaranteed
-//! identical to not using the pool at all.
+//! size the pool from their own config). At 1 thread the map is the plain
+//! sequential loop on the calling thread — no spawns, guaranteed identical
+//! to not using the pool at all.
 //!
 //! **Nesting.** A task running on the pool that calls back into the pool
-//! runs sequentially (a thread-local in-pool flag): parallelism is applied
-//! at the outermost call site only, so e.g. a batch-ingest fan-out whose
-//! workers each build an arrangement does not oversubscribe the machine.
+//! runs sequentially (a thread-local in-pool flag). So a caller whose own
+//! pool task calls the store's batch ingest gets a sequential batch instead
+//! of spawning a second layer of threads and oversubscribing the machine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -53,11 +44,6 @@ thread_local! {
     /// fall back to sequential execution instead of spawning again.
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
-
-/// A claimable chunk for [`Pool::par_chunks_mut`]: the chunk's start offset
-/// in the original slice plus the disjoint sub-slice itself, taken exactly
-/// once by whichever worker claims its index.
-type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
 fn clamp_threads(n: usize) -> usize {
     n.clamp(1, MAX_THREADS)
@@ -124,7 +110,7 @@ impl Pool {
 
     /// True if a call entered now would actually fan out (more than one
     /// thread and not already inside a pool task).
-    pub fn is_parallel(&self) -> bool {
+    fn is_parallel(&self) -> bool {
         self.threads > 1 && !IN_POOL.with(|f| f.get())
     }
 
@@ -191,7 +177,7 @@ impl Pool {
     /// elements and runs `f(chunk_start_offset, chunk)` per chunk on the
     /// pool. Results come back in chunk order, so concatenating them
     /// reproduces the sequential iteration order exactly.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
+    fn par_chunks<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -209,58 +195,6 @@ impl Pool {
         })
     }
 
-    /// In-place variant of [`Pool::par_chunks`]: `f(chunk_start_offset,
-    /// chunk)` mutates disjoint contiguous sub-slices. Element-local work
-    /// (e.g. sorting each element of a `Vec<Vec<_>>`) is trivially
-    /// chunk-boundary independent.
-    pub fn par_chunks_mut<T, F>(&self, items: &mut [T], min_chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        if items.is_empty() {
-            return;
-        }
-        let size = self.chunk_size(items.len(), min_chunk);
-        if self.threads <= 1 || !self.is_parallel() || items.len() <= size {
-            for (i, chunk) in items.chunks_mut(size).enumerate() {
-                f(i * size, chunk);
-            }
-            return;
-        }
-        let slots: Vec<ChunkSlot<'_, T>> = items
-            .chunks_mut(size)
-            .enumerate()
-            .map(|(i, chunk)| Mutex::new(Some((i * size, chunk))))
-            .collect();
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= slots.len() {
-                break;
-            }
-            let (offset, chunk) = slots[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each chunk is taken exactly once");
-            f(offset, chunk);
-        };
-        let workers = self.threads.min(slots.len());
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(|| {
-                    IN_POOL.with(|flag| flag.set(true));
-                    work();
-                    IN_POOL.with(|flag| flag.set(false));
-                });
-            }
-            IN_POOL.with(|flag| flag.set(true));
-            work();
-            IN_POOL.with(|flag| flag.set(false));
-        });
-    }
-
     /// Parallel map with the output in item order: bit-identical to
     /// `items.iter().map(f).collect()`.
     pub fn par_map_collect<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -276,55 +210,6 @@ impl Pool {
             out.extend(chunk);
         }
         out
-    }
-
-    /// Runs a vector of independent closures on the pool; results in spawn
-    /// order. For workloads where per-task cost varies wildly (e.g. one
-    /// giant component and many small ones) the atomic hand-out keeps every
-    /// worker busy until the queue drains.
-    pub fn scope<R, F>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        let cells: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(cells.len(), |i| {
-            let task = cells[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each task runs exactly once");
-            task()
-        })
-    }
-
-    /// Runs two closures, in parallel when the pool allows it, returning
-    /// both results.
-    pub fn join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if !self.is_parallel() {
-            return (fa(), fb());
-        }
-        let mut a = None;
-        let mut b = None;
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                IN_POOL.with(|f| f.set(true));
-                let r = fb();
-                IN_POOL.with(|f| f.set(false));
-                r
-            });
-            IN_POOL.with(|f| f.set(true));
-            a = Some(fa());
-            IN_POOL.with(|f| f.set(false));
-            b = Some(handle.join().expect("join task panicked"));
-        });
-        (a.expect("ran"), b.expect("joined"))
     }
 }
 
@@ -374,43 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_matches_sequential_mutation() {
-        let base: Vec<i64> = (0..4_321).map(|x| x * 3 - 500).collect();
-        let mut expect = base.clone();
-        for v in &mut expect {
-            *v = v.wrapping_mul(7) + 11;
-        }
-        for pool in pools() {
-            let mut got = base.clone();
-            pool.par_chunks_mut(&mut got, 5, |_, chunk| {
-                for v in chunk {
-                    *v = v.wrapping_mul(7) + 11;
-                }
-            });
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn scope_results_in_spawn_order() {
-        for pool in pools() {
-            let tasks: Vec<_> = (0..37).map(|i| move || i * 10).collect();
-            let got = pool.scope(tasks);
-            let expect: Vec<_> = (0..37).map(|i| i * 10).collect();
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        for pool in pools() {
-            let (a, b) = pool.join(|| "left".to_string(), || 42);
-            assert_eq!(a, "left");
-            assert_eq!(b, 42);
-        }
-    }
-
-    #[test]
     fn nested_calls_run_sequentially_without_deadlock() {
         let pool = Pool::with_threads(4);
         let outer: Vec<usize> = (0..16).collect();
@@ -431,10 +279,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(pool.par_map_collect(&empty, |x| *x).is_empty());
         assert!(pool.par_chunks(&empty, 4, |_, c| c.len()).is_empty());
-        let mut empty_mut: Vec<u8> = Vec::new();
-        pool.par_chunks_mut(&mut empty_mut, 4, |_, _| {});
-        let no_tasks: Vec<fn() -> u8> = Vec::new();
-        assert!(pool.scope(no_tasks).is_empty());
     }
 
     #[test]

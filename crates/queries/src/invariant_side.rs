@@ -258,16 +258,18 @@ pub fn evaluate_goal_directed(query: &TopologicalQuery, invariant: &TopologicalI
 
 /// Evaluates a query on many invariants, once per isomorphism class: the
 /// cached canonical codes group the invariants, the query runs on one
-/// representative per class — through the goal-directed Datalog path
-/// ([`evaluate_goal_directed`]) — and the answer is shared across the class.
+/// representative per class — through the native combinatorial algorithms
+/// ([`evaluate_on_invariant`]) — and the answer is shared across the class.
 /// Accepts the same owned-or-borrowed holders as [`isomorphism_classes`].
+/// Because it never runs a Datalog program, it is an independent oracle for
+/// the store's memo fills, which go through [`evaluate_goal_directed`].
 pub fn evaluate_on_classes<I: Borrow<TopologicalInvariant>>(
     query: &TopologicalQuery,
     invariants: &[I],
 ) -> Vec<bool> {
     let mut answers = vec![false; invariants.len()];
     for class in isomorphism_classes(invariants) {
-        let answer = evaluate_goal_directed(query, invariants[class[0]].borrow());
+        let answer = evaluate_on_invariant(query, invariants[class[0]].borrow());
         for i in class {
             answers[i] = answer;
         }

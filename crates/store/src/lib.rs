@@ -511,47 +511,7 @@ impl InvariantStore {
     /// [`StoreStats::wal_errors`] and the in-memory ingest still completes
     /// (availability over durability — the caller can watch the counter).
     pub fn try_ingest_invariant(&self, invariant: Arc<TopologicalInvariant>) -> IngestOutcome {
-        // Canonicalise before taking any lock: the first code computation is
-        // the expensive step, and it is cached on the invariant itself, so
-        // the locked section below only compares cached codes.
-        let hash = invariant.code_hash();
-        invariant.canonical_code();
-        // Lock order everywhere both are held: `classes` before `instances`.
-        let mut classes = write_recover(&self.classes, &self.counters);
-        let (class, admitted) = match self.locate_class(&classes, hash, &invariant) {
-            Some(class) => {
-                self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                (class, false)
-            }
-            None => {
-                if classes.live >= self.config.max_classes {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    return IngestOutcome::Rejected;
-                }
-                let class = classes.reps.len();
-                classes.reps.push(Some(invariant));
-                classes.hashes.push(hash);
-                classes.members.push(Vec::new());
-                classes.by_hash.entry(hash).or_default().push(class);
-                classes.live += 1;
-                (class, true)
-            }
-        };
-        let mut instances = write_recover(&self.instances, &self.counters);
-        let id = instances.slots.len();
-        instances.slots.push(Some(class));
-        instances.live += 1;
-        classes.members[class].push(id);
-        if self.persistence.is_some() {
-            // Appended while both locks are held, so the WAL order is exactly
-            // the id-assignment order: recovery always sees a prefix.
-            self.wal_class_record(persist::TAG_INGEST, &classes, id, class, admitted);
-        }
-        if admitted {
-            IngestOutcome::Admitted(id)
-        } else {
-            IngestOutcome::Deduplicated(id)
-        }
+        self.try_ingest_invariant_batch(std::slice::from_ref(&invariant))[0]
     }
 
     /// Batched [`ingest`](Self::ingest): builds and canonicalises every

@@ -1,8 +1,9 @@
-//! The parallel `top(I)` pipeline must be **bit-identical** to the
-//! sequential one: same cell counts, same canonical code, same `CodeHash`,
-//! at every pool size — 1 (the guaranteed-sequential fallback), small,
-//! large, and oversubscribed — and the batched store ingest must be
-//! observationally equivalent to a sequential ingest loop.
+//! `top(I)` must be **bit-identical** whatever the pool size — same cell
+//! counts, same canonical code, same `CodeHash` at 1 (the
+//! guaranteed-sequential fallback), small, large, and oversubscribed — and
+//! the batched store ingest, the one place the pool fans out (per
+//! instance), must be observationally equivalent to a sequential ingest
+//! loop, down to the WAL bytes.
 //!
 //! The pool size is process-global (`topo_parallel::set_global_threads`), so
 //! every test that sweeps it serialises on one lock; the sweep itself is the
@@ -129,6 +130,7 @@ fn batched_wal_recovers_like_per_record_appends() {
         store.ingest_batch(&batch)
     };
     assert_eq!(grouped_outcomes, (0..batch.len()).collect::<Vec<_>>());
+    assert_eq!(per_record.wal_bytes(), grouped.wal_bytes(), "WAL bytes diverged");
 
     let a = InvariantStore::open(StoreConfig::default(), per_record).unwrap();
     let b = InvariantStore::open(StoreConfig::default(), grouped).unwrap();
