@@ -34,10 +34,9 @@ pub fn build_arrangement(input: &ArrangementInput) -> Arrangement {
 /// `input.segments[i]`; the points come in no particular order and may repeat
 /// (the builder normalises with a per-segment sort + dedup).
 ///
-/// Exposed so callers that already know a subset of the pairwise events (an
-/// incremental maintainer with a pair cache, say) can assemble split lists
-/// themselves and skip the quadratic phase via
-/// [`build_arrangement_from_splits`].
+/// Exposed with [`build_arrangement_from_splits`] so a harness can time
+/// phase 1 apart from the rest of the build; every other caller goes through
+/// [`build_arrangement`].
 pub fn compute_split_points(input: &ArrangementInput) -> Vec<Vec<Point>> {
     Builder::new(input).compute_splits()
 }
@@ -48,8 +47,9 @@ pub fn compute_split_points(input: &ArrangementInput) -> Vec<Vec<Point>> {
 /// interior event point (intersections with other segments, isolated points on
 /// the segment), all lying on segment `i`. Order and duplicates are
 /// irrelevant. Feeding the output of [`compute_split_points`] reproduces
-/// [`build_arrangement`] exactly; feeding anything less yields an arrangement
-/// of the *wrong* subdivision, so callers own the completeness argument.
+/// [`build_arrangement`] exactly, which is what lets a harness time phase 1
+/// apart; feeding anything less yields an arrangement of the *wrong*
+/// subdivision.
 pub fn build_arrangement_from_splits(
     input: &ArrangementInput,
     splits: Vec<Vec<Point>>,

@@ -79,16 +79,16 @@ const PARALLEL_GRID_QUICK: usize = 12;
 /// grid where they are not.
 const INCREMENTAL_GRIDS: [usize; 2] = [4, 16];
 
-/// A seeded datagen workload at a given grid.
-type Workload = fn(usize) -> SpatialInstance;
+/// A seeded datagen workload at a given scale and seed.
+type Workload = fn(Scale, u64) -> SpatialInstance;
 /// A stage: measures and pushes its rows.
 type Stage = fn(&mut Rows, &Ctx);
 
 /// The seeded cartographic workloads, by name.
 const WORKLOADS: [(&str, Workload); 3] = [
-    ("sequoia_landcover", |grid| sequoia_landcover(Scale { grid }, SEED)),
-    ("sequoia_hydro", |grid| sequoia_hydro(Scale { grid }, SEED)),
-    ("ign_city", |grid| ign_city(Scale { grid }, SEED)),
+    ("sequoia_landcover", sequoia_landcover),
+    ("sequoia_hydro", sequoia_hydro),
+    ("ign_city", ign_city),
 ];
 
 /// The stages accepted by `--stage`, in run order.
@@ -196,7 +196,7 @@ fn measure_construction(rows: &mut Rows, ctx: &Ctx) {
     let samples = ctx.samples;
     for (name, gen) in WORKLOADS {
         for grid in GRIDS {
-            let instance = gen(grid);
+            let instance = gen(Scale { grid }, SEED);
             let mut at = rows.at(name, grid);
             let input = instance.to_arrangement_input();
             let arrangement_ns =
@@ -256,7 +256,7 @@ fn measure_datalog(rows: &mut Rows, ctx: &Ctx) {
     for (name, gen) in WORKLOADS {
         let mut over_budget = [false; 2];
         for grid in DATALOG_GRIDS {
-            let instance = gen(grid);
+            let instance = gen(Scale { grid }, SEED);
             let invariant = topo_core::top(&instance);
             let structure = program_structure(&invariant);
             let mut at = rows.at(name, grid);
@@ -289,7 +289,7 @@ fn measure_demand(rows: &mut Rows, ctx: &Ctx) {
     for (name, gen) in WORKLOADS {
         let mut naive_over_budget = false;
         for grid in DATALOG_GRIDS {
-            let instance = gen(grid);
+            let instance = gen(Scale { grid }, SEED);
             let invariant = topo_core::top(&instance);
             let structure = program_structure(&invariant);
             let mut at = rows.at(name, grid);
@@ -604,11 +604,17 @@ fn measure_parallel(rows: &mut Rows, ctx: &Ctx) {
 /// steady state — the regime maintenance exists for; the cold baseline has
 /// no corresponding cache to warm. The maintenance-cache counters of the
 /// timed section record how much work the repairs actually did.
+///
+/// Two rows price what the caches do not cover: `fresh_edit` replaces one
+/// region by the same region of a donor map (same generator, another seed),
+/// so every timed edit misses the group cache and builds its dirty groups
+/// cold; `from_empty` adopts the whole instance into an empty maintainer.
+/// Both include the `code_hash` read.
 fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
     let samples = ctx.samples;
     for (name, gen) in WORKLOADS {
         for grid in INCREMENTAL_GRIDS {
-            let instance = gen(grid);
+            let instance = gen(Scale { grid }, SEED);
             let regions = instance.schema().len();
             let mut at = rows.at(name, grid);
             let mut maintained = MaintainedInvariant::from_instance(&instance);
@@ -636,8 +642,6 @@ fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
             at.count("edits", after.edits - before.edits);
             at.count("group_builds", after.group_builds - before.group_builds);
             at.count("group_reuses", after.group_reuses - before.group_reuses);
-            at.count("pair_computes", after.pair_computes - before.pair_computes);
-            at.count("pair_reuses", after.pair_reuses - before.pair_reuses);
 
             // The cold baseline over the identical state sequence: the edited
             // instances are prepared untimed; the rebuilds (and their cold
@@ -657,6 +661,43 @@ fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
                 std::hint::black_box(topo_core::top(&instance).code_hash());
             });
             at.ns("rebuild_round_trip", rebuild_ns, samples);
+
+            // One maintained copy per sample, with the region it edits and the
+            // donor's version of that region, prepared untimed. Only regions
+            // whose donor geometry differs are edited, so no edit can land on
+            // a cached group.
+            let donor = gen(Scale { grid }, SEED + 1);
+            let fresh: Vec<usize> =
+                (0..regions).filter(|&r| donor.region(r) != instance.region(r)).collect();
+            let mut prepared: Vec<(MaintainedInvariant, usize, Region)> = (0..samples)
+                .map(|k| {
+                    let r = fresh[k % fresh.len()];
+                    (MaintainedInvariant::from_instance(&instance), r, donor.region(r).clone())
+                })
+                .collect();
+            let mut turn = 0usize;
+            let fresh_ns = median_ns(samples, || {
+                let (maintained, r, region) = &mut prepared[turn];
+                turn += 1;
+                maintained.insert_region(*r, std::mem::take(region));
+                maintained.invariant().code_hash()
+            });
+            at.ns("fresh_edit", fresh_ns, samples);
+            for (maintained, _, _) in &prepared {
+                assert!(maintained.stats().group_builds > 0, "a fresh_edit hit the group cache");
+            }
+            let mut edited = instance.clone();
+            edited.set_region(fresh[0], donor.region(fresh[0]).clone());
+            assert_eq!(
+                prepared[0].0.invariant().canonical_code(),
+                topo_core::top(&edited).canonical_code(),
+                "fresh edit diverged from cold rebuild"
+            );
+
+            let from_empty_ns = median_ns(samples, || {
+                MaintainedInvariant::from_instance(&instance).invariant().code_hash()
+            });
+            at.ns("from_empty", from_empty_ns, samples);
 
             // Differential guard: the maintained invariant ends the
             // measurement bit-identical to a cold rebuild of the same state.

@@ -178,7 +178,7 @@ fn quick_incremental_stage_round_trips_to_valid_json() {
             assert!(row.contains(field), "row lacks {field}: {row}");
         }
     }
-    for metric in ["edit_round_trip", "rebuild_round_trip"] {
+    for metric in ["edit_round_trip", "rebuild_round_trip", "fresh_edit", "from_empty"] {
         let tag = format!("\"metric\": \"{metric}\"");
         assert!(rows.iter().any(|r| r.contains(&tag)), "incremental rows must include {metric}");
     }

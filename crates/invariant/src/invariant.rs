@@ -129,8 +129,8 @@ pub struct TopologicalInvariant {
 /// stored field, with all derived structure (skeleton components, the
 /// component tree, face ownership, the cached canonical form) stripped.
 ///
-/// Produced by [`TopologicalInvariant::to_parts`] and consumed by
-/// [`TopologicalInvariant::from_parts`], which recomputes the derived
+/// Read (borrowed) through [`TopologicalInvariant::parts_ref`] and consumed
+/// by [`TopologicalInvariant::from_parts`], which recomputes the derived
 /// structure — the round trip is observationally exact (same canonical code,
 /// same relational export). This is the surface persistence layers such as
 /// `topo-store`'s snapshot/WAL format encode, so the invariant's in-memory
@@ -353,28 +353,8 @@ impl TopologicalInvariant {
         invariant
     }
 
-    /// Extracts the raw stored data of the invariant — the inverse of
-    /// [`from_parts`](Self::from_parts). Derived structure and the cached
-    /// canonical form are not included; `from_parts` recomputes them.
-    pub fn to_parts(&self) -> InvariantParts {
-        InvariantParts {
-            schema: self.schema.clone(),
-            vertex_slots: self.vertex_slots.clone(),
-            vertex_sectors: self.vertex_sectors.clone(),
-            vertex_isolated_face: self.vertex_isolated_face.clone(),
-            vertex_regions: self.vertex_regions.clone(),
-            vertex_boundary: self.vertex_boundary.clone(),
-            edge_ends: self.edge_ends.clone(),
-            edge_sides: self.edge_sides.clone(),
-            edge_regions: self.edge_regions.clone(),
-            edge_boundary: self.edge_boundary.clone(),
-            face_regions: self.face_regions.clone(),
-            exterior_face: self.exterior_face,
-        }
-    }
-
-    /// The raw stored data of the invariant, borrowed: the fields
-    /// [`to_parts`](Self::to_parts) would copy.
+    /// The raw stored data of the invariant, borrowed: every field of
+    /// [`InvariantParts`], without copying.
     pub fn parts_ref(&self) -> InvariantPartsRef<'_> {
         InvariantPartsRef {
             schema: &self.schema,
@@ -399,9 +379,9 @@ impl TopologicalInvariant {
     /// later query — the contract persistence layers need when the parts come
     /// off a disk.
     ///
-    /// For parts obtained from [`to_parts`](Self::to_parts) the round trip is
-    /// observationally exact: the same canonical code, the same relational
-    /// export, the same answer to every accessor.
+    /// For parts copied from an invariant's [`parts_ref`](Self::parts_ref)
+    /// the round trip is observationally exact: the same canonical code, the
+    /// same relational export, the same answer to every accessor.
     pub fn from_parts(parts: InvariantParts) -> Result<Self, String> {
         parts.validate()?;
         let mut invariant = TopologicalInvariant {

@@ -6,9 +6,14 @@
 //! [`remove_region`](MaintainedInvariant::remove_region) edits without
 //! rebuilding the world. The repair discipline:
 //!
-//! 1. **Hull-disjoint grouping.** The instance's primitive features (one
-//!    polygon ring, polyline or isolated point each) are partitioned into
-//!    groups by closing feature-bounding-box overlap under union: the fixpoint
+//! 1. **Feature interning.** The instance's primitive features (one polygon
+//!    ring, polyline or isolated point each) are interned by content —
+//!    `(region, kind, points)` — to small integer keys, each stored with its
+//!    bounding box, so a group's feature multiset is a sorted key list. Keys
+//!    that no cached group and no current feature refers to are dropped
+//!    whenever the group cache is trimmed.
+//! 2. **Hull-disjoint grouping.** The features are partitioned into groups by
+//!    closing feature-bounding-box overlap under union: the fixpoint
 //!    guarantees distinct groups have disjoint closed hulls. Disjoint hulls
 //!    mean no cross-group segment intersections, and — because every bounded
 //!    face and every region's 2-D part lies inside its group's hull — no
@@ -17,19 +22,15 @@
 //!    (Mere feature-bbox overlap is *not* enough: a courtyard ring nests a
 //!    distant-looking feature whose own box it contains, which is exactly what
 //!    the union fixpoint catches.)
-//! 2. **Group-level memoisation.** Each group's reduced invariant and its
-//!    per-orientation canonical subtree forms are cached by the multiset of
-//!    its feature contents. An edit dirties only the groups whose feature set
+//! 3. **Group-level memoisation.** Each group's invariant is built by the
+//!    cold pipeline — [`crate::top`] over the group's sub-instance — and
+//!    cached, with its per-orientation canonical subtree forms, by the group's
+//!    feature multiset. An edit dirties only the groups whose feature set
 //!    changed; every untouched group is reused wholesale — including its
 //!    memoised canonical tokens, so the `OnceLock`-cached codes of untouched
 //!    components effectively survive the edit and the colour-refinement start
-//!    filter reruns only inside dirty groups.
-//! 3. **Pair-event caching.** Rebuilding a dirty group skips the arrangement
-//!    builder's quadratic phase: pairwise intersection events and
-//!    point-on-segment probes are cached per (feature content, feature
-//!    content) pair, so only pairs involving genuinely new geometry ever run
-//!    exact intersection arithmetic. The assembled split lists feed
-//!    [`topo_arrangement::build_arrangement_from_splits`].
+//!    filter reruns only inside dirty groups. How segments are split into an
+//!    arrangement is decided in `topo-arrangement` alone.
 //! 4. **Merge, don't recanonicalise.** The maintained invariant is assembled
 //!    by concatenating the groups' [`InvariantParts`] (one shared exterior
 //!    face) and the canonical form by merging the groups' subtree forms
@@ -43,16 +44,14 @@
 //! counts, canonical code, `CodeHash`, store answers) to a cold rebuild, and
 //! at small scales to the frozen `naive-reference` oracle.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use topo_arrangement::build_arrangement_from_splits;
-use topo_geometry::{BBox, Point, Segment};
+use topo_geometry::{BBox, Point};
 use topo_spatial::{Region, RegionId, Schema, SpatialInstance};
 
 use crate::canonical::{self, CanonicalForm, CellRef, SubtreeForm};
 use crate::complex::RegionSet;
-use crate::construct::classify_arrangement;
 use crate::invariant::{CellKind, TopologicalInvariant};
 use crate::InvariantParts;
 
@@ -66,9 +65,10 @@ pub struct MaintainStats {
     pub group_builds: u64,
     /// Group invariants served from the group cache.
     pub group_reuses: u64,
-    /// Feature-pair event lists computed with exact arithmetic.
+    /// Always 0: dirty groups are built by [`crate::top`], which keeps no
+    /// per-pair cache. Kept so existing readers of the counter still build.
     pub pair_computes: u64,
-    /// Feature-pair event lists served from the pair cache.
+    /// Always 0, for the same reason as [`pair_computes`](Self::pair_computes).
     pub pair_reuses: u64,
 }
 
@@ -78,63 +78,42 @@ const KIND_RING: u8 = 0;
 const KIND_POLYLINE: u8 = 1;
 const KIND_POINT: u8 = 2;
 
-/// Interned feature content: the geometry a pair-event computation needs.
-struct FeatureContent {
-    /// The feature's segments, exactly as `Region::ring_segments` /
-    /// `polyline_segments` would emit them (empty for point features).
-    segments: Vec<Segment>,
-    /// The isolated point, for point features.
-    point: Option<Point>,
-    bbox: BBox,
-}
-
-/// One primitive feature of the current instance, referencing its interned
-/// content.
+/// One primitive feature of the current instance.
 struct Feature {
+    /// Interned content key.
     key: u32,
     region: RegionId,
     kind: u8,
     /// Index within the region's rings / polylines / points list.
     index: usize,
+    bbox: BBox,
 }
 
-/// A cached group invariant: its raw parts plus the per-orientation
-/// top-level subtree forms of its canonical sweep.
+/// A cached group: its invariant plus the per-orientation top-level subtree
+/// forms of its canonical sweep.
 struct GroupState {
-    parts: InvariantParts,
+    invariant: TopologicalInvariant,
     /// `[counterclockwise, clockwise]` subtree forms, group-local cell ids.
     forms: [Vec<SubtreeForm>; 2],
 }
 
-/// An intersection / point-probe event of one feature pair: which side of
-/// the (ordered) pair, the segment index local to that side's feature, and
-/// the split point.
-type PairEvent = (u8, u32, Point);
-
 /// Interning key of one feature's content: `(region, kind, points)`.
 type ContentId = (RegionId, u8, Vec<Point>);
 
-/// A cache entry stamped with the edit counter at its last use.
-type Stamped<T> = (u64, Arc<T>);
-
 const GROUP_CACHE_CAP: usize = 4096;
-const PAIR_CACHE_CAP: usize = 1 << 17;
 
 /// A spatial instance maintained under region edits, with its invariant and
 /// canonical form repaired incrementally (see the [module docs](self)).
 pub struct MaintainedInvariant {
     schema: Schema,
     regions: Vec<Region>,
-    /// Feature content interning: `(region, kind, points) → key`.
-    key_ids: HashMap<ContentId, u32>,
-    contents: Vec<FeatureContent>,
-    /// Within-feature intersection events, by content key.
-    self_events: HashMap<u32, Stamped<Vec<(u32, Point)>>>,
-    /// Cross-feature events, keyed by the ordered content-key pair
-    /// (`a <= b`; side 0 of an event is the `a` feature).
-    pair_events: HashMap<(u32, u32), Stamped<Vec<PairEvent>>>,
-    /// Group cache: sorted feature-key multiset → built group state.
-    groups: HashMap<Vec<u32>, Stamped<GroupState>>,
+    /// Feature content interning: `(region, kind, points) → (key, bbox)`.
+    key_ids: HashMap<ContentId, (u32, BBox)>,
+    /// The key the next never-seen content receives.
+    next_key: u32,
+    /// Group cache: sorted feature-key multiset → built group state, stamped
+    /// with the edit counter at its last use.
+    groups: HashMap<Vec<u32>, (u64, Arc<GroupState>)>,
     invariant: Arc<TopologicalInvariant>,
     stats: MaintainStats,
 }
@@ -147,9 +126,7 @@ impl MaintainedInvariant {
             schema,
             regions,
             key_ids: HashMap::new(),
-            contents: Vec::new(),
-            self_events: HashMap::new(),
-            pair_events: HashMap::new(),
+            next_key: 0,
             groups: HashMap::new(),
             // Placeholder; `rebuild` installs the real (empty) invariant.
             invariant: Arc::new(crate::top(&SpatialInstance::new(Schema::new()))),
@@ -230,10 +207,10 @@ impl MaintainedInvariant {
     // ----- repair pipeline ---------------------------------------------------
 
     /// Re-derives the invariant from the current regions through the group
-    /// and pair caches.
+    /// cache.
     fn rebuild(&mut self) {
         let features = self.collect_features();
-        let grouping = group_by_hull(&features, &self.contents);
+        let grouping = group_by_hull(&features);
         let stamp = self.stats.edits;
 
         let mut states: Vec<Arc<GroupState>> = Vec::with_capacity(grouping.len());
@@ -246,14 +223,14 @@ impl MaintainedInvariant {
                 states.push(state.clone());
                 continue;
             }
-            let state = Arc::new(self.build_group(&features, members, stamp));
+            let state = Arc::new(self.build_group(&features, members));
             self.stats.group_builds += 1;
             self.groups.insert(key, (stamp, state.clone()));
             states.push(state);
         }
 
         self.invariant = Arc::new(merge_groups(&self.schema, &states));
-        self.evict(stamp);
+        self.evict(&features, stamp);
     }
 
     /// Collects the current features in the order
@@ -264,215 +241,71 @@ impl MaintainedInvariant {
         for region in 0..self.regions.len() {
             for index in 0..self.regions[region].rings.len() {
                 let points = self.regions[region].rings[index].clone();
-                let key = self.intern(region, KIND_RING, points);
-                features.push(Feature { key, region, kind: KIND_RING, index });
+                features.push(self.intern(region, KIND_RING, index, points));
             }
             for index in 0..self.regions[region].polylines.len() {
                 let points = self.regions[region].polylines[index].clone();
-                let key = self.intern(region, KIND_POLYLINE, points);
-                features.push(Feature { key, region, kind: KIND_POLYLINE, index });
+                features.push(self.intern(region, KIND_POLYLINE, index, points));
             }
             for index in 0..self.regions[region].points.len() {
                 let points = vec![self.regions[region].points[index]];
-                let key = self.intern(region, KIND_POINT, points);
-                features.push(Feature { key, region, kind: KIND_POINT, index });
+                features.push(self.intern(region, KIND_POINT, index, points));
             }
         }
         features
     }
 
-    fn intern(&mut self, region: RegionId, kind: u8, points: Vec<Point>) -> u32 {
-        if let Some(&key) = self.key_ids.get(&(region, kind, points.clone())) {
-            return key;
-        }
-        let key = self.contents.len() as u32;
-        let bbox = BBox::from_points(&points);
-        let segments = match kind {
-            // Exactly `Region::ring_segments` for one ring: every side plus
-            // the implicit closing segment.
-            KIND_RING => (0..points.len())
-                .map(|i| Segment::new(points[i], points[(i + 1) % points.len()]))
-                .collect(),
-            // Exactly `Region::polyline_segments` for one chain.
-            KIND_POLYLINE => points.windows(2).map(|p| Segment::new(p[0], p[1])).collect(),
-            _ => Vec::new(),
-        };
-        let point = (kind == KIND_POINT).then(|| points[0]);
-        self.contents.push(FeatureContent { segments, point, bbox });
-        self.key_ids.insert((region, kind, points), key);
-        key
+    /// The feature at `index` of `region`'s `kind` list, with its content
+    /// interned (never-seen content gets the next key and its bbox).
+    fn intern(&mut self, region: RegionId, kind: u8, index: usize, points: Vec<Point>) -> Feature {
+        let next_key = &mut self.next_key;
+        let (key, bbox) =
+            *self.key_ids.entry((region, kind, points)).or_insert_with_key(|content| {
+                let key = *next_key;
+                *next_key = key
+                    .checked_add(1)
+                    .expect("fewer than 2^32 distinct feature contents per maintainer");
+                (key, BBox::from_points(&content.2))
+            });
+        Feature { key, region, kind, index, bbox }
     }
 
-    /// Builds one dirty group: assembles its split lists from the pair
-    /// caches, builds the arrangement from them, classifies, reduces,
-    /// freezes, and runs the per-orientation canonical sweep.
-    fn build_group(&mut self, features: &[Feature], members: &[usize], stamp: u64) -> GroupState {
+    /// Builds one dirty group with the cold pipeline: `top` over the group's
+    /// sub-instance, then the per-orientation canonical sweep.
+    fn build_group(&self, features: &[Feature], members: &[usize]) -> GroupState {
         // The group instance over the full schema (region ids and RegionSet
         // widths line up with the whole instance's).
         let mut instance = SpatialInstance::new(self.schema.clone());
         for &f in members {
-            let feature = &features[f];
-            let content = &self.contents[feature.key as usize];
-            let region = instance.region_mut(feature.region);
-            match feature.kind {
-                KIND_RING => {
-                    region.rings.push(self.regions[feature.region].rings[feature.index].clone())
-                }
-                KIND_POLYLINE => region
-                    .polylines
-                    .push(self.regions[feature.region].polylines[feature.index].clone()),
-                _ => region.points.push(content.point.expect("point feature has a point")),
+            let Feature { region, kind, index, .. } = features[f];
+            let source = &self.regions[region];
+            let target = instance.region_mut(region);
+            match kind {
+                KIND_RING => target.rings.push(source.rings[index].clone()),
+                KIND_POLYLINE => target.polylines.push(source.polylines[index].clone()),
+                _ => target.points.push(source.points[index]),
             }
         }
-        let input = instance.to_arrangement_input();
-
-        // Per-member segment ranges into `input.segments`. `members` is in
-        // feature-collection order — (region, rings-then-polylines-then-
-        // points, index) — which is exactly `to_arrangement_input`'s segment
-        // emission order, so the ranges are contiguous and in order.
-        let mut range_start: Vec<usize> = Vec::with_capacity(members.len());
-        let mut next = 0usize;
-        for &f in members {
-            range_start.push(next);
-            next += self.contents[features[f].key as usize].segments.len();
-        }
-        debug_assert_eq!(next, input.segments.len());
-
-        let mut splits: Vec<Vec<Point>> =
-            input.segments.iter().map(|(s, _)| vec![s.a, s.b]).collect();
-        for (i, &f) in members.iter().enumerate() {
-            let key = features[f].key;
-            // Within-feature intersections.
-            if !self.contents[key as usize].segments.is_empty() {
-                let events = self.self_events_for(key, stamp);
-                for &(seg, p) in events.iter() {
-                    splits[range_start[i] + seg as usize].push(p);
-                }
-            }
-            // Cross-feature intersections and point probes, against every
-            // later member whose box can touch this one.
-            for (j_off, &g) in members.iter().enumerate().skip(i + 1) {
-                let other = features[g].key;
-                let (a, b) = (self.contents[key as usize].bbox, self.contents[other as usize].bbox);
-                if !a.intersects(&b) {
-                    continue;
-                }
-                let events = self.pair_events_for(key, other, stamp);
-                // Cached sides refer to the ordered key pair (smaller key is
-                // side 0); orient them back onto (i, j).
-                let (lo, hi) = if key <= other { (i, j_off) } else { (j_off, i) };
-                for &(side, seg, p) in events.iter() {
-                    let member = if side == 0 { lo } else { hi };
-                    splits[range_start[member] + seg as usize].push(p);
-                }
-            }
-        }
-
-        let arrangement = build_arrangement_from_splits(&input, splits);
-        let mut complex = classify_arrangement(&instance, &input, &arrangement);
-        complex.reduce();
-        let invariant = TopologicalInvariant::from_complex(&complex, self.schema.clone());
+        let invariant = crate::top(&instance);
         let forms = canonical::oriented_top_forms(&invariant);
-        GroupState { parts: invariant.to_parts(), forms }
+        GroupState { invariant, forms }
     }
 
-    /// Within-feature intersection events of one content key, cached.
-    fn self_events_for(&mut self, key: u32, stamp: u64) -> Arc<Vec<(u32, Point)>> {
-        if let Some((used, events)) = self.self_events.get_mut(&key) {
-            *used = stamp;
-            self.stats.pair_reuses += 1;
-            return events.clone();
+    /// Bounds the group cache: when it overflows its cap, the groups untouched
+    /// longest are dropped (down to half the cap, so eviction is amortised),
+    /// and with them every interned key that neither a surviving group nor a
+    /// current feature refers to.
+    fn evict(&mut self, features: &[Feature], stamp: u64) {
+        if self.groups.len() <= GROUP_CACHE_CAP {
+            return;
         }
-        let segments = &self.contents[key as usize].segments;
-        let mut events: Vec<(u32, Point)> = Vec::new();
-        for i in 0..segments.len() {
-            for j in i + 1..segments.len() {
-                push_events(&segments[i], &segments[j], i as u32, j as u32, &mut |side, seg, p| {
-                    let _ = side;
-                    events.push((seg, p));
-                });
-            }
-        }
-        self.stats.pair_computes += 1;
-        let events = Arc::new(events);
-        self.self_events.insert(key, (stamp, events.clone()));
-        events
-    }
-
-    /// Cross-feature events of one content-key pair, cached. Side 0 of each
-    /// event is the smaller key's feature.
-    fn pair_events_for(&mut self, a: u32, b: u32, stamp: u64) -> Arc<Vec<PairEvent>> {
-        let (a, b) = (a.min(b), a.max(b));
-        if let Some((used, events)) = self.pair_events.get_mut(&(a, b)) {
-            *used = stamp;
-            self.stats.pair_reuses += 1;
-            return events.clone();
-        }
-        let (ca, cb) = (&self.contents[a as usize], &self.contents[b as usize]);
-        let mut events: Vec<PairEvent> = Vec::new();
-        for (i, sa) in ca.segments.iter().enumerate() {
-            for (j, sb) in cb.segments.iter().enumerate() {
-                push_events(sa, sb, i as u32, j as u32, &mut |side, seg, p| {
-                    events.push((side, seg, p));
-                });
-            }
-        }
-        // Isolated points splitting the other feature's segments, mirroring
-        // the point probes of `compute_split_points`.
-        if let Some(p) = ca.point {
-            for (j, sb) in cb.segments.iter().enumerate() {
-                if sb.contains_point(&p) {
-                    events.push((1, j as u32, p));
-                }
-            }
-        }
-        if let Some(p) = cb.point {
-            for (i, sa) in ca.segments.iter().enumerate() {
-                if sa.contains_point(&p) {
-                    events.push((0, i as u32, p));
-                }
-            }
-        }
-        self.stats.pair_computes += 1;
-        let events = Arc::new(events);
-        self.pair_events.insert((a, b), (stamp, events.clone()));
-        events
-    }
-
-    /// Bounds the caches: when one overflows its cap, the entries untouched
-    /// longest are dropped (down to half the cap, so eviction is amortised).
-    fn evict(&mut self, stamp: u64) {
-        fn trim<K: std::hash::Hash + Eq, V>(map: &mut HashMap<K, (u64, V)>, cap: usize, now: u64) {
-            if map.len() <= cap {
-                return;
-            }
-            let mut stamps: Vec<u64> = map.values().map(|(used, _)| *used).collect();
-            stamps.sort_unstable();
-            let cutoff = stamps[stamps.len() - cap / 2].min(now);
-            map.retain(|_, (used, _)| *used >= cutoff);
-        }
-        trim(&mut self.groups, GROUP_CACHE_CAP, stamp);
-        trim(&mut self.self_events, PAIR_CACHE_CAP, stamp);
-        trim(&mut self.pair_events, PAIR_CACHE_CAP, stamp);
-    }
-}
-
-/// Records the split events of one exact segment intersection, exactly as
-/// the arrangement builder's phase 1 would: a point intersection splits both
-/// segments there, a collinear overlap splits both at both overlap ends.
-fn push_events(sa: &Segment, sb: &Segment, ia: u32, ib: u32, out: &mut impl FnMut(u8, u32, Point)) {
-    match sa.intersect(sb) {
-        topo_geometry::SegmentIntersection::None => {}
-        topo_geometry::SegmentIntersection::Point(p) => {
-            out(0, ia, p);
-            out(1, ib, p);
-        }
-        topo_geometry::SegmentIntersection::Overlap(p, q) => {
-            out(0, ia, p);
-            out(0, ia, q);
-            out(1, ib, p);
-            out(1, ib, q);
-        }
+        let mut stamps: Vec<u64> = self.groups.values().map(|(used, _)| *used).collect();
+        stamps.sort_unstable();
+        let cutoff = stamps[stamps.len() - GROUP_CACHE_CAP / 2].min(stamp);
+        self.groups.retain(|_, (used, _)| *used >= cutoff);
+        let live: HashSet<u32> =
+            self.groups.keys().flatten().chain(features.iter().map(|f| &f.key)).copied().collect();
+        self.key_ids.retain(|_, (key, _)| live.contains(key));
     }
 }
 
@@ -480,12 +313,9 @@ fn push_events(sa: &Segment, sb: &Segment, ia: u32, ib: u32, out: &mut impl FnMu
 /// are pairwise disjoint: starts from singletons and merges any two groups
 /// whose hulls touch, to fixpoint. Each group's member list stays in feature
 /// order (ascending indices).
-fn group_by_hull(features: &[Feature], contents: &[FeatureContent]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(BBox, Vec<usize>)> = features
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (contents[f.key as usize].bbox, vec![i]))
-        .collect();
+fn group_by_hull(features: &[Feature]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<(BBox, Vec<usize>)> =
+        features.iter().enumerate().map(|(i, f)| (f.bbox, vec![i])).collect();
     loop {
         let mut out: Vec<(BBox, Vec<usize>)> = Vec::with_capacity(groups.len());
         let mut merged_any = false;
@@ -521,7 +351,7 @@ fn group_by_hull(features: &[Feature], contents: &[FeatureContent]) -> Vec<Vec<u
 /// concatenates the parts (one shared exterior face, placed last) and merges
 /// the canonical subtree forms, priming the result's canonical cache.
 fn merge_groups(schema: &Schema, groups: &[Arc<GroupState>]) -> TopologicalInvariant {
-    let total_faces: usize = groups.iter().map(|g| g.parts.face_regions.len() - 1).sum();
+    let total_faces: usize = groups.iter().map(|g| g.invariant.face_count() - 1).sum();
     let exterior = total_faces;
 
     let mut parts = InvariantParts {
@@ -542,7 +372,7 @@ fn merge_groups(schema: &Schema, groups: &[Arc<GroupState>]) -> TopologicalInvar
     let mut cw: Vec<SubtreeForm> = Vec::new();
 
     for group in groups {
-        let g = &group.parts;
+        let g = group.invariant.parts_ref();
         let voff = parts.vertex_slots.len();
         let eoff = parts.edge_ends.len();
         let foff = parts.face_regions.len();
@@ -559,21 +389,21 @@ fn merge_groups(schema: &Schema, groups: &[Arc<GroupState>]) -> TopologicalInvar
             }
         }
 
-        for slots in &g.vertex_slots {
+        for slots in g.vertex_slots {
             parts.vertex_slots.push(slots.iter().map(|&(e, end)| (e + eoff, end)).collect());
         }
-        for sectors in &g.vertex_sectors {
+        for sectors in g.vertex_sectors {
             parts.vertex_sectors.push(sectors.iter().map(|&f| face_map[f]).collect());
         }
-        for isolated in &g.vertex_isolated_face {
+        for isolated in g.vertex_isolated_face {
             parts.vertex_isolated_face.push(isolated.map(|f| face_map[f]));
         }
         parts.vertex_regions.extend(g.vertex_regions.iter().cloned());
         parts.vertex_boundary.extend(g.vertex_boundary.iter().cloned());
-        for ends in &g.edge_ends {
+        for ends in g.edge_ends {
             parts.edge_ends.push(ends.map(|(a, b)| (a + voff, b + voff)));
         }
-        for &(l, r) in &g.edge_sides {
+        for &(l, r) in g.edge_sides {
             parts.edge_sides.push((face_map[l], face_map[r]));
         }
         parts.edge_regions.extend(g.edge_regions.iter().cloned());
@@ -683,5 +513,25 @@ mod tests {
         check(&m);
         // One skeleton component tree with the inner ring nested in the outer.
         assert_eq!(m.invariant().face_count(), 3);
+    }
+
+    #[test]
+    fn interning_table_stays_bounded_under_fresh_geometry() {
+        // Every edit inserts never-seen geometry, so every edit mints a key
+        // and a group; past the group cache's cap, keys of evicted groups
+        // must go with them.
+        let mut m = MaintainedInvariant::new(schema(&["a", "b"]));
+        m.insert_region(1, Region::rectangle(-10, -10, -5, -5));
+        for i in 0..GROUP_CACHE_CAP as i64 + 100 {
+            m.insert_region(0, Region::rectangle(i, 0, i + 1, 1));
+            let cached: usize = m.groups.keys().map(Vec::len).sum();
+            assert!(
+                m.key_ids.len() <= m.collect_features().len() + cached,
+                "edit {i}: {} interned keys, {cached} in cached groups",
+                m.key_ids.len()
+            );
+        }
+        assert!(m.groups.len() <= GROUP_CACHE_CAP);
+        check(&m);
     }
 }
