@@ -20,7 +20,8 @@ use crate::containment::{innermost, CycleGeometry, CycleIndex};
 use crate::{ArrEdge, ArrFace, Arrangement, ArrangementInput, EdgeId, FaceId, VertexId};
 use std::collections::HashMap;
 use topo_geometry::{
-    pseudo_angle_cmp, BBox, DirectionVector, Point, SegmentGrid, SegmentIntersection,
+    orientation, pseudo_angle_cmp, BBox, DirectionVector, Orientation, Point, Segment, SegmentGrid,
+    SegmentIntersection,
 };
 
 /// Builds the planar arrangement induced by the input segments and points.
@@ -31,8 +32,9 @@ pub fn build_arrangement(input: &ArrangementInput) -> Arrangement {
 /// Phase 1 alone: for every input segment, the points at which it must be
 /// split — its endpoints, every intersection with another input segment, and
 /// every isolated input point lying on it. `result[i]` belongs to
-/// `input.segments[i]`; the points come in no particular order and may repeat
-/// (the builder normalises with a per-segment sort + dedup).
+/// `input.segments[i]` and starts with its endpoints `a`, `b`; the interior
+/// points follow in no particular order and may repeat (the builder
+/// normalises with a per-segment sort + dedup).
 ///
 /// Exposed with [`build_arrangement_from_splits`] so a harness can time
 /// phase 1 apart from the rest of the build; every other caller goes through
@@ -101,24 +103,35 @@ impl<'a> Builder<'a> {
     /// Phase 1: for every input segment, the set of points at which it must be
     /// split (its endpoints, intersection points with other segments, and
     /// isolated input points lying on it).
+    ///
+    /// Each list starts with the segment's two endpoints, and no other point
+    /// equal to one of them is pushed. Two segments sharing an input
+    /// endpoint meet only there unless they are collinear, so one
+    /// orientation test of the far endpoint settles such a pair; only
+    /// collinear pairs (partial overlaps and duplicates) are intersected.
     fn compute_splits(&mut self) -> Vec<Vec<Point>> {
-        let segments: Vec<topo_geometry::Segment> =
-            self.input.segments.iter().map(|(s, _)| *s).collect();
+        let segments: Vec<Segment> = self.input.segments.iter().map(|(s, _)| *s).collect();
         let mut splits: Vec<Vec<Point>> = segments.iter().map(|s| vec![s.a, s.b]).collect();
         if !segments.is_empty() {
             let grid = SegmentGrid::build(&segments);
             for (i, j) in grid.candidate_pairs() {
-                match segments[i].intersect(&segments[j]) {
+                let (s, t) = (&segments[i], &segments[j]);
+                if let Some(far) = far_endpoint_if_shared(s, t) {
+                    if orientation(&s.a, &s.b, &far) != Orientation::Collinear {
+                        continue;
+                    }
+                }
+                match s.intersect(t) {
                     SegmentIntersection::None => {}
                     SegmentIntersection::Point(p) => {
-                        splits[i].push(p);
-                        splits[j].push(p);
+                        push_interior(&mut splits[i], s, p);
+                        push_interior(&mut splits[j], t, p);
                     }
                     SegmentIntersection::Overlap(p, q) => {
-                        splits[i].push(p);
-                        splits[i].push(q);
-                        splits[j].push(p);
-                        splits[j].push(q);
+                        for r in [p, q] {
+                            push_interior(&mut splits[i], s, r);
+                            push_interior(&mut splits[j], t, r);
+                        }
                     }
                 }
             }
@@ -130,7 +143,7 @@ impl<'a> Builder<'a> {
                 grid.query_box_into(&query, &mut hits);
                 for &idx in &hits {
                     if segments[idx].contains_point(p) {
-                        splits[idx].push(*p);
+                        push_interior(&mut splits[idx], &segments[idx], *p);
                     }
                 }
             }
@@ -144,11 +157,16 @@ impl<'a> Builder<'a> {
         let mut edge_ids: HashMap<(VertexId, VertexId), EdgeId> = HashMap::new();
         let mut edges: Vec<RawEdge> = Vec::new();
         for ((segment, source), mut points) in self.input.segments.iter().zip(splits) {
-            // Order split points along the segment (all are collinear with it,
-            // so squared distance from `a` is monotone in the curve parameter).
-            // The exact rational key is computed once per point, not once per
-            // comparison.
-            points.sort_by_cached_key(|p| segment.a.distance_sq(p));
+            // Order split points from `a` to `b`. All lie on the segment, and
+            // along a line lexicographic point order is the order of the
+            // curve parameter, running from `a` when `a < b` and from `b`
+            // otherwise. Comparing coordinates forms no squares or products
+            // of differences, unlike an exact squared-distance key.
+            if segment.a < segment.b {
+                points.sort_unstable();
+            } else {
+                points.sort_unstable_by(|p, q| q.cmp(p));
+            }
             points.dedup();
             for pair in points.windows(2) {
                 let u = self.intern(pair[0]);
@@ -496,6 +514,26 @@ impl<'a> Builder<'a> {
             isolated,
             point_vertices,
         }
+    }
+}
+
+/// If `s` and `t` share an input endpoint, the endpoint of `t` that is not
+/// the shared one (for identical or reversed segments, either endpoint).
+fn far_endpoint_if_shared(s: &Segment, t: &Segment) -> Option<Point> {
+    if t.a == s.a || t.a == s.b {
+        Some(t.b)
+    } else if t.b == s.a || t.b == s.b {
+        Some(t.a)
+    } else {
+        None
+    }
+}
+
+/// Pushes `p` onto `segment`'s split list unless it is one of the segment's
+/// endpoints, which every list holds from the start.
+fn push_interior(split: &mut Vec<Point>, segment: &Segment, p: Point) {
+    if p != segment.a && p != segment.b {
+        split.push(p);
     }
 }
 

@@ -13,15 +13,18 @@
 //! BENCHMARKS.md tabulates the committed `BENCH_N.json` records.
 //!
 //! ```text
-//! bench_runner [--quick] [--stage NAME]... [--out PATH]
+//! bench_runner [--quick] [--stage NAME]... [--out PATH] [--compare PREV.json]
 //! ```
 //!
 //! `--quick` drops the sample counts and skips the reference
 //! canonicalisation where it is slow (CI smoke coverage). `--stage`
 //! (repeatable) restricts the run to the named stages, and `stages_run` in
 //! the JSON records which ran. The default output is `BENCH_full.json`
-//! (`BENCH_quick.json` with `--quick`), never a committed record. Requires
-//! the `naive-reference` feature:
+//! (`BENCH_quick.json` with `--quick`), never a committed record.
+//! `--compare` reads a previous record first and, after the run, prints
+//! every row's ratio to the previous row with the same (stage, workload,
+//! scale, metric, pool_threads), flagging ratios outside
+//! `1 ± COMPARE_NOISE_BAND`. Requires the `naive-reference` feature:
 //!
 //! ```text
 //! cargo run --release -p topo-bench --features naive-reference \
@@ -30,7 +33,9 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use topo_bench::{median_ns, median_ns_with, print_rows, rows_json, At, Rows};
+use topo_bench::{
+    median_ns, median_ns_with, print_comparison, print_rows, read_record, rows_json, At, Rows,
+};
 use topo_core::relational::datalog::naive as datalog_naive;
 use topo_core::relational::Term;
 use topo_core::spatial::transform::AffineMap;
@@ -191,7 +196,9 @@ fn measure_canonical(at: &mut At, instance: &SpatialInstance, cells: usize, ctx:
 
 /// The construction and canonicalisation stage. Every construction stage is
 /// timed in isolation (its inputs are prepared untimed), so the medians are
-/// genuinely per-stage; `top` is the end-to-end total.
+/// genuinely per-stage; `top` is the end-to-end total. `splits` is
+/// arrangement phase 1 (`compute_split_points`) alone, a part of
+/// `arrangement`.
 fn measure_construction(rows: &mut Rows, ctx: &Ctx) {
     let samples = ctx.samples;
     for (name, gen) in WORKLOADS {
@@ -199,6 +206,9 @@ fn measure_construction(rows: &mut Rows, ctx: &Ctx) {
             let instance = gen(Scale { grid }, SEED);
             let mut at = rows.at(name, grid);
             let input = instance.to_arrangement_input();
+            let splits_ns =
+                median_ns(samples, || topo_core::arrangement::compute_split_points(&input));
+            at.ns("splits", splits_ns, samples);
             let arrangement_ns =
                 median_ns(samples, || topo_core::arrangement::build_arrangement(&input));
             at.ns("arrangement", arrangement_ns, samples);
@@ -714,7 +724,9 @@ fn main() {
     let names: Vec<&str> = STAGES.iter().map(|(name, _)| *name).collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: bench_runner [--quick] [--stage NAME]... [--out PATH]");
+        eprintln!(
+            "usage: bench_runner [--quick] [--stage NAME]... [--out PATH] [--compare PREV.json]"
+        );
         eprintln!("stages: {}", names.join(", "));
         return;
     }
@@ -735,13 +747,30 @@ fn main() {
             }
         }
     }
+    let value_of = |flag: &str| args.iter().position(|a| a == flag).map(|i| args.get(i + 1));
+    // Read the previous record before measuring, so a bad path fails fast.
+    let previous = match value_of("--compare") {
+        None => None,
+        Some(path) => {
+            let Some(path) = path else {
+                eprintln!("--compare needs a path");
+                std::process::exit(2);
+            };
+            match std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|t| read_record(&t))
+            {
+                Ok(rows) => Some((path, rows)),
+                Err(e) => {
+                    eprintln!("cannot compare against {path}: {e}");
+                    std::process::exit(2);
+                }
+            }
+        }
+    };
     let mode = if quick { "quick" } else { "full" };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("BENCH_{mode}.json"));
+    let out_path =
+        value_of("--out").flatten().cloned().unwrap_or_else(|| format!("BENCH_{mode}.json"));
     let ctx = Ctx { quick, samples: if quick { QUICK_SAMPLES } else { FULL_SAMPLES } };
 
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -759,4 +788,7 @@ fn main() {
         .expect("write benchmark record");
     eprintln!("wrote {out_path}");
     print_rows(&rows.rows);
+    if let Some((path, previous)) = previous {
+        print_comparison(path, &previous, &rows.rows);
+    }
 }

@@ -1,7 +1,8 @@
-//! CLI contract of `bench_runner --stage`: unknown stages fail fast with a
-//! clear diagnostic and exit code 2, and filtered runs emit syntactically
-//! valid JSON whose `stages_run` records exactly the selected subset and
-//! whose rows all belong to it — checked on a quick `incremental` run.
+//! CLI contract of `bench_runner --stage` and `--compare`: unknown stages
+//! and unreadable records fail fast with a clear diagnostic and exit code 2,
+//! and filtered runs emit syntactically valid JSON whose `stages_run`
+//! records exactly the selected subset and whose rows all belong to it, and
+//! print the comparison table — checked on a quick `incremental` run.
 //!
 //! The binary (and so this test target) requires the `naive-reference`
 //! feature; plain `cargo test` skips it.
@@ -147,17 +148,37 @@ fn dangling_stage_flag_fails_fast_with_exit_2() {
 }
 
 #[test]
+fn unreadable_compare_record_fails_fast_with_exit_2() {
+    let missing = tmp_out("stage_cli_no_such_record.json");
+    let _ = std::fs::remove_file(&missing);
+    let output = runner().arg("--compare").arg(&missing).output().expect("spawn bench_runner");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot compare against"), "got: {stderr}");
+    assert!(!stderr.contains("=="), "no stage may run before the argument error: {stderr}");
+}
+
+/// The last committed record in the row schema, which CI compares against.
+fn committed_record() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_14.json")
+}
+
+#[test]
 fn quick_incremental_stage_round_trips_to_valid_json() {
     let out = tmp_out("stage_cli_incremental.json");
     let _ = std::fs::remove_file(&out);
     let output = runner()
         .args(["--quick", "--stage", "incremental", "--out"])
         .arg(&out)
+        .arg("--compare")
+        .arg(committed_record())
         .output()
         .expect("spawn bench_runner");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "quick incremental run failed:\n{stderr}");
     assert!(stderr.contains("edit_round_trip"), "the row table must be printed: {stderr}");
+    assert!(stderr.contains("comparison against"), "the comparison must be printed: {stderr}");
+    assert!(stderr.contains(" not re-measured"), "the comparison must end in a summary: {stderr}");
 
     let json = std::fs::read(&out).expect("the run must write its report");
     parse_json(&json).expect("emitted report must be valid JSON");

@@ -8,9 +8,10 @@
 //! candidate pair is verified with the exact predicates afterwards, and the
 //! conservative box test guarantees no intersecting pair is missed.
 //!
-//! The cell lattice itself is the shared flat-CSR [`BoxLattice`];
-//! deduplication uses sort + dedup on plain vectors instead of hash sets,
-//! and queries can reuse a caller-provided scratch buffer
+//! The cell lattice itself is the shared flat-CSR [`BoxLattice`]. Two boxes
+//! sharing several cells are paired only in the lowest cell both cover, so
+//! every candidate pair is emitted exactly once and needs no deduplication;
+//! queries can reuse a caller-provided scratch buffer
 //! ([`SegmentGrid::query_box_into`]).
 
 use crate::bbox::BBox;
@@ -21,6 +22,8 @@ use crate::segment::Segment;
 pub struct SegmentGrid {
     lattice: BoxLattice,
     boxes: Vec<BBox>,
+    /// Each box's lowest lattice cell ([`BoxLattice::low_cell`]).
+    low_cells: Vec<(i64, i64)>,
 }
 
 impl SegmentGrid {
@@ -32,30 +35,33 @@ impl SegmentGrid {
     pub fn build(segments: &[Segment]) -> Self {
         let boxes: Vec<BBox> = segments.iter().map(|s| s.bbox()).collect();
         let f64_boxes: Vec<(f64, f64, f64, f64)> = boxes.iter().map(|b| b.to_f64()).collect();
-        SegmentGrid { lattice: BoxLattice::build(&f64_boxes, 2048), boxes }
+        let lattice = BoxLattice::build(&f64_boxes, 2048);
+        let low_cells = f64_boxes.iter().map(|b| lattice.low_cell(*b)).collect();
+        SegmentGrid { lattice, boxes, low_cells }
     }
 
     /// All pairs `(i, j)` with `i < j` whose grid cells overlap and whose
     /// exact bounding boxes intersect, sorted ascending and unique. Every
     /// actually-intersecting pair of segments is included.
     pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for bucket in self.lattice.occupied_buckets() {
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (cell, bucket) in self.lattice.occupied_cells() {
+            // Buckets hold box indices ascending, so `i < j`.
             for (k, &i) in bucket.iter().enumerate() {
+                let (i, (xi, yi)) = (i as usize, self.low_cells[i as usize]);
                 for &j in &bucket[k + 1..] {
-                    pairs.push(if i < j { (i, j) } else { (j, i) });
+                    let (j, (xj, yj)) = (j as usize, self.low_cells[j as usize]);
+                    // The lowest cell both boxes cover is the per-axis max of
+                    // their lowest cells; the pair is emitted there only.
+                    if (xi.max(xj), yi.max(yj)) == cell && self.boxes[i].intersects(&self.boxes[j])
+                    {
+                        pairs.push((i, j));
+                    }
                 }
             }
         }
-        // Segments sharing several cells produce the same pair repeatedly;
-        // sort + dedup replaces the hash set the seed used here.
         pairs.sort_unstable();
-        pairs.dedup();
         pairs
-            .into_iter()
-            .filter(|&(i, j)| self.boxes[i as usize].intersects(&self.boxes[j as usize]))
-            .map(|(i, j)| (i as usize, j as usize))
-            .collect()
     }
 
     /// Indices of segments whose bounding box intersects `query`, sorted
@@ -92,8 +98,8 @@ mod tests {
         Segment::new(Point::from_ints(ax, ay), Point::from_ints(bx, by))
     }
 
-    #[test]
-    fn grid_finds_all_intersecting_pairs() {
+    /// 120 random segments in a 100 × 100 square.
+    fn random_segments() -> Vec<Segment> {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut segments = Vec::new();
         for _ in 0..120 {
@@ -107,6 +113,63 @@ mod tests {
             }
             segments.push(seg(ax, ay, bx, by));
         }
+        segments
+    }
+
+    /// A city block pattern: short building edges, which keep the cells
+    /// small, crossed by long roads spanning many cells, including diagonals
+    /// and roads along shared lines.
+    fn city_roads() -> Vec<Segment> {
+        let mut segments = Vec::new();
+        for bx in 0..12 {
+            for by in 0..12 {
+                let (x, y) = (bx * 10 + 2, by * 10 + 2);
+                segments.push(seg(x, y, x + 3, y));
+                segments.push(seg(x, y, x, y + 3));
+            }
+        }
+        for k in 0..12 {
+            segments.push(seg(0, k * 10, 120, k * 10));
+            segments.push(seg(k * 10, 0, k * 10, 120));
+        }
+        segments.push(seg(0, 0, 120, 120));
+        segments.push(seg(0, 120, 120, 0));
+        segments.push(seg(0, 40, 60, 40));
+        segments.push(seg(30, 40, 120, 40));
+        segments
+    }
+
+    /// Every box-overlapping pair `(i, j)`, `i < j`, by brute force.
+    fn box_overlapping_pairs(segments: &[Segment]) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for i in 0..segments.len() {
+            for j in i + 1..segments.len() {
+                if segments[i].bbox().intersects(&segments[j].bbox()) {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn candidate_pairs_are_exactly_the_box_overlapping_pairs() {
+        for (name, segments) in [("random", random_segments()), ("city roads", city_roads())] {
+            let pairs = grid_pairs(&segments);
+            assert_eq!(pairs, box_overlapping_pairs(&segments), "{name}");
+        }
+        // The city case is only meaningful if pairs do share several cells:
+        // the diagonal road must cover many.
+        let segments = city_roads();
+        let grid = SegmentGrid::build(&segments);
+        let road = (segments.len() - 4) as u32;
+        let spanned = grid.lattice.occupied_cells().filter(|(_, b)| b.contains(&road)).count();
+        assert!(spanned > 16, "the diagonal road covers only {spanned} cells");
+    }
+
+    #[test]
+    fn grid_finds_all_intersecting_pairs() {
+        let segments = random_segments();
         // Ground truth by brute force.
         let mut truth = std::collections::HashSet::new();
         for i in 0..segments.len() {

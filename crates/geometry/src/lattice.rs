@@ -139,9 +139,21 @@ impl BoxLattice {
         &self.entries[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize]
     }
 
-    /// The non-empty cell buckets, each a slice of registered box indices.
-    pub fn occupied_buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.occupied.iter().map(|&c| self.bucket(c as usize))
+    /// The lowest cell `(cx, cy)` a box covers: the bottom-left corner of
+    /// its clamped cell range.
+    pub fn low_cell(&self, b: F64Box) -> (i64, i64) {
+        let (cx, cy, _, _) = self.cell_range(b);
+        (cx, cy)
+    }
+
+    /// The non-empty cells in ascending id order, each as its coordinates
+    /// `(cx, cy)` and its bucket: the indices of the boxes registered there,
+    /// ascending.
+    pub fn occupied_cells(&self) -> impl Iterator<Item = ((i64, i64), &[u32])> + '_ {
+        self.occupied.iter().map(|&c| {
+            let c = i64::from(c);
+            ((c % self.nx, c / self.nx), self.bucket(c as usize))
+        })
     }
 
     /// Calls `f` for every box index registered in a cell overlapping
@@ -184,7 +196,7 @@ mod tests {
     fn empty_lattice() {
         let lattice = BoxLattice::build(&[], 64);
         assert!(lattice.is_empty());
-        assert_eq!(lattice.occupied_buckets().count(), 0);
+        assert_eq!(lattice.occupied_cells().count(), 0);
         assert!(lattice.point_bucket(3.0, 4.0).is_empty());
     }
 
@@ -219,9 +231,36 @@ mod tests {
             "lattice not clamped: {}",
             lattice.cell_start.len()
         );
-        assert_eq!(lattice.occupied_buckets().count(), 2);
+        assert_eq!(lattice.occupied_cells().count(), 2);
         assert_eq!(lattice.point_bucket(0.5, 0.5), &[0]);
         assert_eq!(lattice.point_bucket(1e9 + 0.5, 1e9 + 0.5), &[1]);
+    }
+
+    #[test]
+    fn occupied_cell_coordinates_round_trip_through_low_cell() {
+        let boxes: Vec<F64Box> = (0..12)
+            .map(|i| {
+                let (x, y) = ((i * 7 % 11) as f64 * 3.0, (i * 5 % 13) as f64 * 2.0);
+                (x, y, x + (i % 4) as f64 * 4.0 + 0.5, y + (i % 3) as f64 * 5.0 + 0.5)
+            })
+            .collect();
+        let lattice = BoxLattice::build(&boxes, 64);
+        let cells: Vec<((i64, i64), &[u32])> = lattice.occupied_cells().collect();
+        assert!(cells.len() > 1);
+        for &((cx, cy), bucket) in &cells {
+            assert!(!bucket.is_empty());
+            assert!(bucket.windows(2).all(|w| w[0] < w[1]), "bucket not ascending");
+            // The centre of the cell maps back to the same coordinates.
+            let x = lattice.min_x + (cx as f64 + 0.5) * lattice.cell_size;
+            let y = lattice.min_y + (cy as f64 + 0.5) * lattice.cell_size;
+            assert_eq!(lattice.low_cell((x, y, x, y)), (cx, cy));
+        }
+        // Every box is registered in its own lowest cell.
+        for (i, b) in boxes.iter().enumerate() {
+            let low = lattice.low_cell(*b);
+            let (_, bucket) = cells.iter().find(|(c, _)| *c == low).expect("low cell occupied");
+            assert!(bucket.contains(&(i as u32)), "box {i} missing from its low cell");
+        }
     }
 
     #[test]
