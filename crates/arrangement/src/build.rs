@@ -16,7 +16,7 @@
 //!    contains it, using exact even–odd tests;
 //! 6. assemble incidences.
 
-use crate::containment::{innermost, CycleGeometry, CycleIndex};
+use crate::containment::{CycleGeometry, CycleIndex};
 use crate::{ArrEdge, ArrFace, Arrangement, ArrangementInput, EdgeId, FaceId, VertexId};
 use std::collections::HashMap;
 use topo_geometry::{
@@ -333,11 +333,6 @@ impl<'a> Builder<'a> {
                 comp_min_vertex[idx] = v;
             }
         }
-        let comp_of_vertex = |builder_parent: &mut [usize],
-                              v: VertexId,
-                              comp_index: &HashMap<usize, usize>|
-         -> usize { comp_index[&find(builder_parent, v)] };
-
         // Outer contour of every component: the cycle bounding the angular
         // sector that faces "due left" at the component's minimal vertex.
         let comp_count = comp_min_vertex.len();
@@ -389,84 +384,66 @@ impl<'a> Builder<'a> {
             }
         }
 
-        // Geometry of every bounded-face cycle, for nesting tests.
-        let mut cycle_geometry: Vec<Option<CycleGeometry>> = vec![None; cycle_count];
-        let mut cycle_component: Vec<Option<usize>> = vec![None; cycle_count];
-        {
-            let mut cycle_halves: Vec<Vec<usize>> = vec![Vec::new(); cycle_count];
-            for h in 0..edges.len() * 2 {
-                cycle_halves[cycle_of[h]].push(h);
-            }
-            for (cycle, halves) in cycle_halves.iter().enumerate() {
-                if halves.is_empty() {
-                    continue;
+        // Nesting (phase 5): every component's outer contour becomes a
+        // boundary cycle of the face containing the component, and every
+        // isolated vertex lies in the face containing it. A component never
+        // lies inside one of its own faces, so with a single component and
+        // no isolated vertex everything lies in the exterior face, and no
+        // cycle geometry is built.
+        let mut parent_face_of_comp: Vec<FaceId> = vec![exterior_face; comp_count];
+        let mut isolated: Vec<(VertexId, FaceId)> =
+            (0..n).filter(|&v| rotations[v].is_empty()).map(|v| (v, exterior_face)).collect();
+        if comp_count > 1 || !isolated.is_empty() {
+            // Geometry of every bounded-face cycle, in cycle order, with its
+            // box taken from one per-vertex `f64` table: a closed walk visits
+            // every vertex of its cycle as the origin of some half-edge.
+            let coords: Vec<(f64, f64)> = self.vertices.iter().map(Point::to_f64).collect();
+            let mut slot_of_cycle: Vec<usize> = vec![usize::MAX; cycle_count];
+            let mut cycles: Vec<CycleGeometry> = Vec::new();
+            let mut cycle_comp: Vec<usize> = Vec::new();
+            let mut cycle_face: Vec<FaceId> = Vec::new();
+            for (h, &cycle) in cycle_of.iter().enumerate() {
+                let Some(face) = face_of_cycle[cycle] else { continue };
+                let (u, w) = (origin(h), origin(h ^ 1));
+                if slot_of_cycle[cycle] == usize::MAX {
+                    slot_of_cycle[cycle] = cycles.len();
+                    cycles.push(CycleGeometry {
+                        directed: Vec::new(),
+                        bbox: (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
+                    });
+                    cycle_comp.push(comp_index[&find(&mut parent, u)]);
+                    cycle_face.push(face);
                 }
-                cycle_component[cycle] =
-                    Some(comp_of_vertex(&mut parent, origin(halves[0]), &comp_index));
-                if face_of_cycle[cycle].is_some() {
-                    let directed: Vec<(Point, Point)> = halves
-                        .iter()
-                        .map(|&h| (self.vertices[origin(h)], self.vertices[origin(h ^ 1)]))
-                        .collect();
-                    cycle_geometry[cycle] = Some(CycleGeometry::new(directed));
+                let geometry = &mut cycles[slot_of_cycle[cycle]];
+                geometry.directed.push((self.vertices[u], self.vertices[w]));
+                let (x, y) = coords[u];
+                let bbox = &mut geometry.bbox;
+                *bbox = (bbox.0.min(x), bbox.1.min(y), bbox.2.max(x), bbox.3.max(y));
+            }
+
+            // Each probe runs exact point-in-cycle tests only against the
+            // cycles whose box can contain it; one scratch buffer serves
+            // every probe.
+            let index = CycleIndex::build(cycles);
+            let mut scratch: Vec<usize> = Vec::new();
+            for (c, &min_v) in comp_min_vertex.iter().enumerate() {
+                let probe = &self.vertices[min_v];
+                if let Some(k) =
+                    index.innermost_container(probe, |k| cycle_comp[k] != c, &mut scratch)
+                {
+                    parent_face_of_comp[c] = cycle_face[k];
+                }
+            }
+            for (v, face) in &mut isolated {
+                if let Some(k) =
+                    index.innermost_container(&self.vertices[*v], |_| true, &mut scratch)
+                {
+                    *face = cycle_face[k];
                 }
             }
         }
-        let positive_cycles: Vec<usize> =
-            (0..cycle_count).filter(|&c| face_of_cycle[c].is_some()).collect();
-        let all_geometry: Vec<CycleGeometry> = positive_cycles
-            .iter()
-            .map(|&c| cycle_geometry[c].clone().expect("geometry for bounded cycle"))
-            .collect();
-
-        // Index of positive-cycle bounding boxes: each nesting probe below
-        // only runs exact point-in-cycle tests against cycles whose box can
-        // contain it, instead of scanning every positive cycle.
-        let cycle_index = CycleIndex::build(&all_geometry);
-
-        // Nest every component: its outer contour becomes a boundary cycle of
-        // the face that contains the component. One candidate scratch buffer
-        // serves every probe, here and for the isolated vertices below.
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut parent_face_of_comp: Vec<FaceId> = Vec::with_capacity(comp_count);
-        for (c, &min_v) in comp_min_vertex.iter().enumerate() {
-            let probe = self.vertices[min_v];
-            cycle_index.candidates_into(&probe, &mut candidates);
-            let containers: Vec<usize> = candidates
-                .iter()
-                .copied()
-                .filter(|&k| {
-                    cycle_component[positive_cycles[k]] != Some(c)
-                        && all_geometry[k].contains(&probe)
-                })
-                .collect();
-            parent_face_of_comp.push(if containers.is_empty() {
-                exterior_face
-            } else {
-                let inner = innermost(&containers, &all_geometry);
-                face_of_cycle[positive_cycles[inner]].unwrap()
-            });
-        }
-        for cycle in 0..cycle_count {
-            if face_of_cycle[cycle].is_none() && cycle_component[cycle].is_some() {
-                let comp = cycle_component[cycle].unwrap();
-                face_of_cycle[cycle] = Some(parent_face_of_comp[comp]);
-            }
-        }
-
-        // Isolated vertices: the same probe without the own-component filter.
-        let mut isolated: Vec<(VertexId, FaceId)> = Vec::new();
-        for (v, _) in rotations.iter().enumerate().take(n).filter(|(_, rot)| rot.is_empty()) {
-            let probe = self.vertices[v];
-            cycle_index.candidates_into(&probe, &mut candidates);
-            let containers: Vec<usize> =
-                candidates.iter().copied().filter(|&k| all_geometry[k].contains(&probe)).collect();
-            let face = if containers.is_empty() {
-                exterior_face
-            } else {
-                face_of_cycle[positive_cycles[innermost(&containers, &all_geometry)]].unwrap()
-            };
-            isolated.push((v, face));
+        for (c, &cycle) in outer_cycle_of_comp.iter().enumerate() {
+            face_of_cycle[cycle] = Some(parent_face_of_comp[c]);
         }
 
         // Edge incidences and face boundaries.
@@ -612,12 +589,11 @@ mod tests {
         let mut input = ArrangementInput::new();
         square(&mut input, 0, 0, 100, 0);
         square(&mut input, 10, 10, 10, 1);
-        let arr = build_arrangement(&input);
+        let arr = build_matching_naive(&input);
         assert_eq!(arr.vertex_count(), 8);
         assert_eq!(arr.edge_count(), 8);
         // exterior, inside-outer-minus-inner, inside-inner
         assert_eq!(arr.face_count(), 3);
-        assert!(arr.validate().is_ok());
         // The ring face (between the squares) must have all 8 edges on its
         // boundary; the innermost face only 4; the exterior only 4.
         let mut edge_counts: Vec<usize> =
@@ -680,6 +656,80 @@ mod tests {
         assert_eq!(arr.degree(arr.point_vertices[2]), 2);
     }
 
+    /// Builds `input`, checks `validate()`, and checks every face assignment
+    /// (edge sides, isolated vertices, face boundaries) against the frozen
+    /// naive builder, which nests with a full scan of every cycle.
+    fn build_matching_naive(input: &ArrangementInput) -> Arrangement {
+        let arr = build_arrangement(input);
+        assert!(arr.validate().is_ok(), "{:?}", arr.validate());
+        let naive = crate::naive::build_arrangement_naive(input);
+        assert_eq!(arr.vertices, naive.vertices);
+        assert_eq!(arr.isolated, naive.isolated);
+        assert_eq!(arr.edges.len(), naive.edges.len());
+        for (a, b) in arr.edges.iter().zip(&naive.edges) {
+            assert_eq!((a.face_left, a.face_right), (b.face_left, b.face_right));
+        }
+        assert_eq!(arr.faces.len(), naive.faces.len());
+        for (a, b) in arr.faces.iter().zip(&naive.faces) {
+            assert_eq!(a.bounded, b.bounded);
+            assert_eq!(a.boundary_edges, b.boundary_edges);
+            assert_eq!(a.boundary_vertices, b.boundary_vertices);
+        }
+        arr
+    }
+
+    /// One component: a square with a square hole, joined to it by a
+    /// diagonal bridge (faces: exterior, the ring between the squares, the
+    /// hole).
+    fn holed_component(input: &mut ArrangementInput) {
+        square(input, 0, 0, 100, 0);
+        square(input, 30, 30, 40, 1);
+        input.add_segment(seg(0, 0, 30, 30), 2);
+    }
+
+    #[test]
+    fn isolated_points_without_segments() {
+        let mut input = ArrangementInput::new();
+        for (x, y) in [(0, 0), (10, -5), (-7, 3), (10, -5)] {
+            input.add_point(p(x, y), 0);
+        }
+        let arr = build_matching_naive(&input);
+        assert_eq!(arr.vertex_count(), 3);
+        assert_eq!(arr.face_count(), 1);
+        assert_eq!(arr.isolated.len(), 3);
+        assert!(arr.isolated.iter().all(|&(_, face)| face == arr.exterior_face));
+    }
+
+    #[test]
+    fn isolated_points_inside_a_hole_and_outside() {
+        let mut input = ArrangementInput::new();
+        holed_component(&mut input);
+        input.add_point(p(50, 50), 3); // in the hole
+        input.add_point(p(10, 60), 3); // in the ring
+        input.add_point(p(200, 50), 3); // outside
+        input.add_point(p(-1, -1), 3); // outside, next to the bridge's corner
+        let arr = build_matching_naive(&input);
+        assert_eq!(arr.face_count(), 3);
+        let face_of = |i: usize| arr.isolated_face(arr.point_vertices[i]).unwrap();
+        let (hole, ring) = (face_of(0), face_of(1));
+        assert!(arr.faces[hole].bounded && arr.faces[ring].bounded && hole != ring);
+        assert_eq!(arr.faces[hole].boundary_edges.len(), 4);
+        assert_eq!(face_of(2), arr.exterior_face);
+        assert_eq!(face_of(3), arr.exterior_face);
+    }
+
+    #[test]
+    fn holed_component_without_points_skips_nesting() {
+        let mut input = ArrangementInput::new();
+        holed_component(&mut input);
+        let arr = build_matching_naive(&input);
+        assert_eq!(arr.face_count(), 3);
+        assert!(arr.isolated.is_empty());
+        // The outer contour (the big square's four sides) bounds the
+        // exterior face.
+        assert_eq!(arr.faces[arr.exterior_face].boundary_edges.len(), 4);
+    }
+
     #[test]
     fn antenna_edge() {
         // A square with a segment dangling into its interior.
@@ -701,9 +751,8 @@ mod tests {
         square(&mut input, 0, 0, 100, 0);
         square(&mut input, 10, 10, 60, 1);
         square(&mut input, 20, 20, 20, 2);
-        let arr = build_arrangement(&input);
+        let arr = build_matching_naive(&input);
         assert_eq!(arr.face_count(), 4);
-        assert!(arr.validate().is_ok());
         // The middle ring face's boundary must touch both the outer square of
         // level 2 and the inner square of level 3.
         let ring_face = arr

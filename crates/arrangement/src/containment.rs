@@ -21,6 +21,9 @@ pub(crate) struct CycleGeometry {
 }
 
 impl CycleGeometry {
+    /// Builds a cycle from its directed edges, boxing their endpoints (the
+    /// builder boxes from its per-vertex coordinate table instead).
+    #[cfg(any(test, feature = "naive-reference"))]
     pub(crate) fn new(directed: Vec<(Point, Point)>) -> Self {
         let mut bbox = (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
         for (a, b) in &directed {
@@ -37,8 +40,11 @@ impl CycleGeometry {
 
     /// Safety margin compensating for `f64` rounding of rational coordinates:
     /// widening a box by this much makes the float box test conservative.
+    /// It scales with the largest magnitude among all four box coordinates,
+    /// so a far negative min corner gets a margin above its rounding error.
     fn bbox_eps(&self) -> f64 {
-        1e-6 * (1.0 + self.bbox.2.abs().max(self.bbox.3.abs()))
+        let (x0, y0, x1, y1) = self.bbox;
+        1e-6 * (1.0 + x0.abs().max(y0.abs()).max(x1.abs()).max(y1.abs()))
     }
 
     /// The cycle's bounding box widened by [`CycleGeometry::bbox_eps`]; a
@@ -119,17 +125,32 @@ impl CycleGeometry {
 /// box, so no true container is ever missed, and callers re-check every
 /// candidate exactly.
 pub(crate) struct CycleIndex {
+    cycles: Vec<CycleGeometry>,
     lattice: BoxLattice,
 }
 
 impl CycleIndex {
-    /// Builds the index over the given cycles (indices into the slice are
-    /// what queries report).
-    pub(crate) fn build(cycles: &[CycleGeometry]) -> Self {
+    /// Builds the index over the given cycles, taking ownership of them
+    /// (positions in the vector are what queries report).
+    pub(crate) fn build(cycles: Vec<CycleGeometry>) -> Self {
         let boxes: Vec<(f64, f64, f64, f64)> = cycles.iter().map(|c| c.widened_bbox()).collect();
         // Outer contours span the whole map and register everywhere, so the
         // lattice stays coarse (at most 512 cells per side).
-        CycleIndex { lattice: BoxLattice::build(&boxes, 512) }
+        CycleIndex { cycles, lattice: BoxLattice::build(&boxes, 512) }
+    }
+
+    /// The innermost cycle that encloses `p` among those `keep` accepts, if
+    /// any. `p` must not lie on an accepted cycle; `scratch` is reused
+    /// across probes.
+    pub(crate) fn innermost_container(
+        &self,
+        p: &Point,
+        keep: impl Fn(usize) -> bool,
+        scratch: &mut Vec<usize>,
+    ) -> Option<usize> {
+        self.candidates_into(p, scratch);
+        scratch.retain(|&k| keep(k) && self.cycles[k].contains(p));
+        (!scratch.is_empty()).then(|| innermost(scratch, &self.cycles))
     }
 
     /// Fills `out` with the indices of every cycle whose widened bounding box
@@ -138,7 +159,7 @@ impl CycleIndex {
     /// out-of-lattice probes clamp to the border cell, which cannot lose a
     /// container because a point outside the global bounds is outside every
     /// cycle).
-    pub(crate) fn candidates_into(&self, p: &Point, out: &mut Vec<usize>) {
+    fn candidates_into(&self, p: &Point, out: &mut Vec<usize>) {
         out.clear();
         let (x, y) = p.to_f64();
         out.extend(self.lattice.point_bucket(x, y).iter().map(|&i| i as usize));
@@ -237,6 +258,26 @@ mod tests {
         assert_eq!(innermost(&[0], &cycles), 0);
     }
 
+    /// A box from `(-10^12, 0)` to `(0, 10)` and a probe just right of its
+    /// left side whose `f64` x rounds one ulp (about 1.2e-4) left of
+    /// `-10^12`. A margin sized by the max corner alone (about 1e-5) is
+    /// below that ulp and would reject this true container.
+    #[test]
+    fn box_margin_covers_a_far_negative_min_corner() {
+        let (a, b, c, d) = (p(-1_000_000_000_000, 0), p(0, 0), p(0, 10), p(-1_000_000_000_000, 10));
+        let cycle = CycleGeometry::new(vec![(a, b), (b, c), (c, d), (d, a)]);
+        let x = Rational::new(-817_087_200_999_999_999_971, 817_087_201);
+        let probe = Point::new(x, Rational::from_int(5));
+        assert!(x > a.x, "the probe lies inside the square");
+        assert!(x.to_f64() < -1e12, "its f64 x rounds outside the unwidened box");
+        assert!(cycle.bbox_eps() > 1e12 * f64::EPSILON);
+        assert!(cycle.bbox_may_contain(&probe));
+        assert!(cycle.contains(&probe));
+        let index = CycleIndex::build(vec![cycle]);
+        let mut scratch = Vec::new();
+        assert_eq!(index.innermost_container(&probe, |_| true, &mut scratch), Some(0));
+    }
+
     #[test]
     fn on_boundary_detection() {
         let sq = square_cycle(0, 0, 10);
@@ -261,11 +302,11 @@ mod tests {
             }
         }
         cycles.push(square_cycle(-10, -10, 900));
-        let index = CycleIndex::build(&cycles);
+        let index = CycleIndex::build(cycles);
         let mut candidates = Vec::new();
         for probe in [p(30, 30), p(130, 430), p(770, 50), p(-5, -5), p(2000, 2000)] {
             index.candidates_into(&probe, &mut candidates);
-            for (k, cycle) in cycles.iter().enumerate() {
+            for (k, cycle) in index.cycles.iter().enumerate() {
                 if cycle.contains(&probe) {
                     assert!(
                         candidates.contains(&k),
@@ -278,7 +319,7 @@ mod tests {
 
     #[test]
     fn cycle_index_empty() {
-        let index = CycleIndex::build(&[]);
+        let index = CycleIndex::build(Vec::new());
         let mut candidates = vec![7usize];
         index.candidates_into(&p(0, 0), &mut candidates);
         assert!(candidates.is_empty());

@@ -28,7 +28,7 @@
 
 mod build;
 mod containment;
-#[cfg(feature = "naive-reference")]
+#[cfg(any(test, feature = "naive-reference"))]
 pub mod naive;
 
 pub use build::{build_arrangement, build_arrangement_from_splits, compute_split_points};

@@ -1,5 +1,6 @@
 //! Frozen pre-optimisation reference implementation of the arrangement
-//! builder, compiled only with the `naive-reference` feature.
+//! builder, compiled only with the `naive-reference` feature (and for this
+//! crate's own tests).
 //!
 //! This module is a faithful copy of the builder as it stood before the
 //! allocation-lean overhaul: a hash-map-of-buckets segment grid with

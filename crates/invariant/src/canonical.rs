@@ -63,7 +63,9 @@
 //! The pre-overhaul String implementation is frozen verbatim in the `naive`
 //! submodule (compiled for tests and under the `naive-reference` feature);
 //! the equivalence suites prove both code paths induce the same partition
-//! into isomorphism classes.
+//! into isomorphism classes. The same submodule freezes the start filter's
+//! original colour refinement, which the live one must match colour for
+//! colour.
 
 use crate::invariant::{CellKind, ComponentId, ConeItem, TopologicalInvariant};
 use std::collections::HashMap;
@@ -301,10 +303,14 @@ struct Indexes {
     edge_colour: Vec<u32>,
 }
 
-/// Number of 1-neighbourhood refinement rounds. A fixed, deterministic cap
-/// keeps the refinement `O(rounds × Σ degree × log)` on path-like components
-/// where full stabilisation would take `O(diameter)` rounds; any deterministic
-/// cap preserves isomorphism-invariance of the resulting colours.
+/// Number of 1-neighbourhood refinement rounds. Full stabilisation can take
+/// `O(diameter)` rounds on path-like components; a fixed, deterministic cap
+/// bounds the refinement at `rounds ×` one round's cost, and any
+/// deterministic cap preserves isomorphism-invariance of the resulting
+/// colours. A round costs `O(Σ degree × log degree)` to build the keys of
+/// the vertices in non-singleton classes plus a sort within each such class
+/// (see [`refine_colours`]). The cap is reached in practice: on `ign_city`
+/// at grid 16 the colouring is still splitting after the last round.
 const REFINEMENT_ROUNDS: usize = 12;
 
 /// Assigns dense ranks (0-based, by ascending key order) to a list of keys.
@@ -325,26 +331,10 @@ fn dense_ranks<K: Ord>(keys: &[K]) -> (Vec<u32>, usize) {
     (ranks, classes)
 }
 
-/// Iterated 1-neighbourhood colour refinement over the vertices (and a static
-/// colouring of the edges), the start-choice filter of the lazy sweep.
-///
-/// Edge colour: dense rank of the edge's region signature plus its shape
-/// (closed curve / loop / proper). Vertex colour: dense rank of the region
-/// signature and degree, refined for up to [`REFINEMENT_ROUNDS`] rounds by the
-/// sorted multiset of `(edge colour, far-endpoint colour)` pairs over the
-/// incident slots — the classical colour-refinement step, orientation-free by
-/// construction. All keys are intrinsic (region sets, degrees, multisets of
-/// previous-round colours), and dense ranking is order-preserving, so the
-/// relative order of two colours *within one component* is determined by the
-/// component alone: isomorphic components (in the same or different
-/// invariants) induce corresponding minimal colour classes.
-fn refine_colours(
-    inv: &TopologicalInvariant,
-    vertex_region_toks: &[Vec<u32>],
-    edge_region_toks: &[Vec<u32>],
-) -> (Vec<u32>, Vec<u32>) {
-    let (nv, ne) = (inv.vertex_count(), inv.edge_count());
-    let edge_keys: Vec<(&[u32], u8)> = (0..ne)
+/// The edge colours of the start filter: dense ranks of each edge's region
+/// signature plus its shape (closed curve / loop / proper).
+fn edge_colours(inv: &TopologicalInvariant, edge_region_toks: &[Vec<u32>]) -> Vec<u32> {
+    let edge_keys: Vec<(&[u32], u8)> = (0..inv.edge_count())
         .map(|e| {
             let shape = match inv.edge_endpoints(e) {
                 None => 0u8,                 // vertex-free closed curve
@@ -354,44 +344,129 @@ fn refine_colours(
             (edge_region_toks[e].as_slice(), shape)
         })
         .collect();
-    let (edge_colour, _) = dense_ranks(&edge_keys);
+    dense_ranks(&edge_keys).0
+}
+
+/// Iterated 1-neighbourhood colour refinement over the vertices (and a static
+/// colouring of the edges), the start-choice filter of the lazy sweep.
+///
+/// Edge colour: see [`edge_colours`]. Vertex colour: dense rank of the region
+/// signature and degree, refined for up to [`REFINEMENT_ROUNDS`] rounds by the
+/// sorted multiset of `(edge colour, far-endpoint colour)` pairs over the
+/// incident slots — the classical colour-refinement step, orientation-free by
+/// construction. All keys are intrinsic (region sets, degrees, multisets of
+/// previous-round colours), and dense ranking is order-preserving, so the
+/// relative order of two colours *within one component* is determined by the
+/// component alone: isomorphic components (in the same or different
+/// invariants) induce corresponding minimal colour classes.
+///
+/// A round's key is `(colour, multiset)`, so a round only splits classes and
+/// the new ranks keep the class order. The implementation relies on that: a
+/// vertex order sorted by colour is kept across rounds, each round sorts only
+/// within each class (a singleton class builds no key), and the multisets are
+/// packed as `edge colour << 32 | far colour` words — whose order is the
+/// order of the pairs — into one flat buffer laid out like the per-vertex
+/// `(edge colour, far endpoint)` table, built once. Nothing is allocated per
+/// vertex or per round. The colours are exactly those of the frozen
+/// `naive::refine_colours_naive`, which the tests compare against.
+fn refine_colours(
+    inv: &TopologicalInvariant,
+    vertex_region_toks: &[Vec<u32>],
+    edge_region_toks: &[Vec<u32>],
+) -> (Vec<u32>, Vec<u32>) {
+    let nv = inv.vertex_count();
+    let edge_colour = edge_colours(inv, edge_region_toks);
+
+    // CSR table: vertex `v`'s incident slots as `(edge colour, far endpoint)`
+    // in `slots[start[v]..start[v + 1]]`.
+    let mut start: Vec<usize> = Vec::with_capacity(nv + 1);
+    let mut slots: Vec<(u32, u32)> = Vec::new();
+    start.push(0);
+    for v in 0..nv {
+        for &(e, end) in inv.vertex_slots(v) {
+            let far = match inv.edge_endpoints(e) {
+                Some((a, b)) => {
+                    if end == 0 {
+                        b
+                    } else {
+                        a
+                    }
+                }
+                None => v, // unreachable: slotted edges have endpoints
+            };
+            slots.push((edge_colour[e], far as u32));
+        }
+        start.push(slots.len());
+    }
 
     let vertex_keys: Vec<(&[u32], usize)> =
         (0..nv).map(|v| (vertex_region_toks[v].as_slice(), inv.degree(v))).collect();
     let (mut colour, mut classes) = dense_ranks(&vertex_keys);
-    let mut pair_buf: Vec<(u32, u32)> = Vec::new();
+    let mut order: Vec<u32> = (0..nv as u32).collect();
+    order.sort_unstable_by_key(|&v| colour[v as usize]);
+    let mut keys: Vec<u64> = vec![0; slots.len()];
+    let mut next: Vec<u32> = vec![0; nv];
     for _ in 0..REFINEMENT_ROUNDS {
         if classes == nv {
             break; // discrete colouring: nothing left to split
         }
-        let keys: Vec<(u32, Vec<(u32, u32)>)> = (0..nv)
-            .map(|v| {
-                pair_buf.clear();
-                for &(e, end) in inv.vertex_slots(v) {
-                    let other = match inv.edge_endpoints(e) {
-                        Some((a, b)) => {
-                            if end == 0 {
-                                b
-                            } else {
-                                a
-                            }
-                        }
-                        None => v, // unreachable: slotted edges have endpoints
-                    };
-                    pair_buf.push((edge_colour[e], colour[other]));
+        let mut rank = 0u32;
+        let mut i = 0;
+        while i < nv {
+            let class_colour = colour[order[i] as usize];
+            let mut j = i + 1;
+            while j < nv && colour[order[j] as usize] == class_colour {
+                j += 1;
+            }
+            let class = &mut order[i..j];
+            if class.len() > 1 {
+                for &v in class.iter() {
+                    let span = start[v as usize]..start[v as usize + 1];
+                    for k in span.clone() {
+                        let (edge, far) = slots[k];
+                        keys[k] = u64::from(edge) << 32 | u64::from(colour[far as usize]);
+                    }
+                    keys[span].sort_unstable();
                 }
-                pair_buf.sort_unstable();
-                (colour[v], pair_buf.clone())
-            })
-            .collect();
-        let (next, next_classes) = dense_ranks(&keys);
-        if next_classes == classes {
+                class.sort_unstable_by(|&a, &b| {
+                    keys[start[a as usize]..start[a as usize + 1]]
+                        .cmp(&keys[start[b as usize]..start[b as usize + 1]])
+                });
+            }
+            let key = |v: u32| &keys[start[v as usize]..start[v as usize + 1]];
+            next[class[0] as usize] = rank;
+            for pair in class.windows(2) {
+                if key(pair[0]) != key(pair[1]) {
+                    rank += 1;
+                }
+                next[pair[1] as usize] = rank;
+            }
+            rank += 1;
+            i = j;
+        }
+        if rank as usize == classes {
             break; // partition stable: further rounds cannot split it
         }
-        colour = next;
-        classes = next_classes;
+        std::mem::swap(&mut colour, &mut next);
+        classes = rank as usize;
     }
     (colour, edge_colour)
+}
+
+/// The region-membership token run of a cell: its region tokens, then
+/// `CTRL_END`.
+fn region_tokens(set: &crate::complex::RegionSet) -> Vec<u32> {
+    let mut out: Vec<u32> = set.iter().map(|r| TAG_REGION | r as u32).collect();
+    out.push(CTRL_END);
+    out
+}
+
+/// The start filter's `(vertex colour, edge colour)` of an invariant, for
+/// the tests that compare `refine_colours` with its frozen oracle.
+#[cfg(any(feature = "naive-reference", test))]
+pub fn start_filter_colours(inv: &TopologicalInvariant) -> (Vec<u32>, Vec<u32>) {
+    let idx = Indexes::build(inv);
+    (idx.vertex_colour, idx.edge_colour)
 }
 
 impl Indexes {
@@ -408,15 +483,10 @@ impl Indexes {
         }
         let mut by_depth: Vec<ComponentId> = (0..ncomp).collect();
         by_depth.sort_by_key(|&c| std::cmp::Reverse(inv.components()[c].depth));
-        let region_toks = |set: &crate::complex::RegionSet| -> Vec<u32> {
-            let mut out: Vec<u32> = set.iter().map(|r| TAG_REGION | r as u32).collect();
-            out.push(CTRL_END);
-            out
-        };
         let vertex_region_toks: Vec<Vec<u32>> =
-            (0..nv).map(|v| region_toks(inv.vertex_regions(v))).collect();
+            (0..nv).map(|v| region_tokens(inv.vertex_regions(v))).collect();
         let edge_region_toks: Vec<Vec<u32>> =
-            (0..ne).map(|e| region_toks(inv.edge_regions(e))).collect();
+            (0..ne).map(|e| region_tokens(inv.edge_regions(e))).collect();
         let (vertex_colour, edge_colour) =
             refine_colours(inv, &vertex_region_toks, &edge_region_toks);
         Indexes {
@@ -424,7 +494,7 @@ impl Indexes {
             by_depth,
             vertex_region_toks,
             edge_region_toks,
-            face_region_toks: (0..nf).map(|f| region_toks(inv.face_regions(f))).collect(),
+            face_region_toks: (0..nf).map(|f| region_tokens(inv.face_regions(f))).collect(),
             vertex_colour,
             edge_colour,
         }
@@ -1454,14 +1524,90 @@ fn ordered_owned_faces(
 /// sweep. The equivalence suites prove that these codes induce the same
 /// partition into isomorphism classes as the token-stream codes; the bench
 /// harness measures the speedup between the two paths.
+///
+/// It also freezes the start filter's colour refinement as it stood before
+/// its flat-buffer rewrite ([`naive::refine_colours_naive`]); the tests
+/// require the live refinement to return exactly its colours.
 #[cfg(any(feature = "naive-reference", test))]
 pub mod naive {
     // Frozen PR 2 code: silence style/MSRV lints instead of editing the
     // reference (`is_none_or` postdates the recorded MSRV).
     #![allow(clippy::incompatible_msrv)]
 
-    use super::{component_orderings, rotated_index, CellKind, TopologicalInvariant};
+    use super::{
+        component_orderings, dense_ranks, region_tokens, rotated_index, CellKind,
+        TopologicalInvariant, REFINEMENT_ROUNDS,
+    };
     use std::collections::HashMap;
+
+    /// The start filter's colours as computed before the flat-buffer rewrite
+    /// of `refine_colours`: the frozen oracle that the live refinement must
+    /// match exactly (the codes, and so the persisted `CodeHash`es, depend on
+    /// which start choices survive).
+    pub fn refine_colours_naive(invariant: &TopologicalInvariant) -> (Vec<u32>, Vec<u32>) {
+        let vertex_region_toks: Vec<Vec<u32>> = (0..invariant.vertex_count())
+            .map(|v| region_tokens(invariant.vertex_regions(v)))
+            .collect();
+        let edge_region_toks: Vec<Vec<u32>> =
+            (0..invariant.edge_count()).map(|e| region_tokens(invariant.edge_regions(e))).collect();
+        refine_colours(invariant, &vertex_region_toks, &edge_region_toks)
+    }
+
+    fn refine_colours(
+        inv: &TopologicalInvariant,
+        vertex_region_toks: &[Vec<u32>],
+        edge_region_toks: &[Vec<u32>],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (nv, ne) = (inv.vertex_count(), inv.edge_count());
+        let edge_keys: Vec<(&[u32], u8)> = (0..ne)
+            .map(|e| {
+                let shape = match inv.edge_endpoints(e) {
+                    None => 0u8,                 // vertex-free closed curve
+                    Some((a, b)) if a == b => 1, // loop
+                    Some(_) => 2,                // proper edge
+                };
+                (edge_region_toks[e].as_slice(), shape)
+            })
+            .collect();
+        let (edge_colour, _) = dense_ranks(&edge_keys);
+
+        let vertex_keys: Vec<(&[u32], usize)> =
+            (0..nv).map(|v| (vertex_region_toks[v].as_slice(), inv.degree(v))).collect();
+        let (mut colour, mut classes) = dense_ranks(&vertex_keys);
+        let mut pair_buf: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..REFINEMENT_ROUNDS {
+            if classes == nv {
+                break; // discrete colouring: nothing left to split
+            }
+            let keys: Vec<(u32, Vec<(u32, u32)>)> = (0..nv)
+                .map(|v| {
+                    pair_buf.clear();
+                    for &(e, end) in inv.vertex_slots(v) {
+                        let other = match inv.edge_endpoints(e) {
+                            Some((a, b)) => {
+                                if end == 0 {
+                                    b
+                                } else {
+                                    a
+                                }
+                            }
+                            None => v, // unreachable: slotted edges have endpoints
+                        };
+                        pair_buf.push((edge_colour[e], colour[other]));
+                    }
+                    pair_buf.sort_unstable();
+                    (colour[v], pair_buf.clone())
+                })
+                .collect();
+            let (next, next_classes) = dense_ranks(&keys);
+            if next_classes == classes {
+                break; // partition stable: further rounds cannot split it
+            }
+            colour = next;
+            classes = next_classes;
+        }
+        (colour, edge_colour)
+    }
 
     /// A reference canonical code: equal codes iff isomorphic invariants.
     pub type NaiveCode = String;
@@ -1894,6 +2040,49 @@ mod tests {
             instance.set_region(1, Region::point_set(vec![p(15, 15)]));
             assert_canonicalises("point inside ring hole", &instance);
         }
+    }
+
+    /// The live refinement returns exactly the frozen oracle's colours.
+    fn assert_colours_match_oracle(invariant: &TopologicalInvariant, label: &str) {
+        assert_eq!(
+            start_filter_colours(invariant),
+            naive::refine_colours_naive(invariant),
+            "{label}: start-filter colours diverged from the frozen oracle"
+        );
+    }
+
+    #[test]
+    fn refinement_matches_the_frozen_oracle_on_the_zoo() {
+        for (i, instance) in zoo().iter().enumerate() {
+            assert_colours_match_oracle(&top(instance), &format!("zoo instance {i}"));
+        }
+    }
+
+    /// A comb whose vertices start in shared classes and end discrete: the
+    /// spine ends and the first two junctions are told apart in round 1 (by
+    /// the R tooth at the third junction), the two Q tooth tips in round 2.
+    #[test]
+    fn refinement_reaches_a_discrete_colouring() {
+        let mut spine = Region::new();
+        spine.add_polyline(vec![p(0, 0), p(40, 0)]);
+        let mut q_teeth = Region::new();
+        q_teeth.add_polyline(vec![p(10, 0), p(10, 10)]);
+        q_teeth.add_polyline(vec![p(20, 0), p(20, 10)]);
+        let mut r_tooth = Region::new();
+        r_tooth.add_polyline(vec![p(30, 0), p(30, 10)]);
+        let instance =
+            SpatialInstance::from_regions([("P", spine), ("Q", q_teeth), ("R", r_tooth)]);
+        let invariant = top(&instance);
+        let nv = invariant.vertex_count();
+        assert_eq!(nv, 8);
+        let initial: std::collections::HashSet<(Vec<usize>, usize)> = (0..nv)
+            .map(|v| (invariant.vertex_regions(v).iter().collect(), invariant.degree(v)))
+            .collect();
+        assert!(initial.len() < nv, "the initial colouring must not already be discrete");
+        let (vertex_colour, _) = start_filter_colours(&invariant);
+        let distinct: std::collections::HashSet<u32> = vertex_colour.iter().copied().collect();
+        assert_eq!(distinct.len(), nv, "refinement must end discrete");
+        assert_colours_match_oracle(&invariant, "comb");
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //!
 //! The codes themselves are different objects (compact `u32` tokens vs
 //! strings), so equivalence is asserted at the partition level: two invariants
-//! have equal token codes iff they have equal reference codes.
+//! have equal token codes iff they have equal reference codes. The start
+//! filter's colour refinement is held tighter: its colours must equal those
+//! of its frozen oracle (`refine_colours_naive`) exactly, since the codes
+//! themselves depend on them.
 
 use proptest::prelude::*;
+use topo_core::invariant::canonical::{naive::refine_colours_naive, start_filter_colours};
 use topo_core::{canonical_code_naive, top, Region, SpatialInstance, TopologicalInvariant};
 use topo_datagen::{
     figure1, ign_city, nested_rings, scattered_islands, sequoia_hydro, sequoia_landcover, Scale,
@@ -173,6 +177,64 @@ fn giant_component_transforms_realise_identical_codes() {
     }
 }
 
+/// The start filter's live colour refinement returns exactly the colours of
+/// its frozen oracle. Codes depend on which start choices survive the
+/// filter, so this is what keeps them (and the persisted hashes) unchanged.
+fn assert_colours_match_oracle(invariant: &TopologicalInvariant, label: &str) {
+    assert_eq!(
+        start_filter_colours(invariant),
+        refine_colours_naive(invariant),
+        "{label}: start-filter colours diverged from the frozen oracle"
+    );
+}
+
+#[test]
+fn refinement_matches_the_frozen_oracle_on_every_family() {
+    for seed in [1u64, 7919] {
+        for grid in 4..=28 {
+            let scale = Scale { grid };
+            for (family, instance) in [
+                ("landcover", sequoia_landcover(scale, seed)),
+                ("hydro", sequoia_hydro(scale, seed)),
+                ("city", ign_city(scale, seed)),
+            ] {
+                assert_colours_match_oracle(
+                    &top(&instance),
+                    &format!("{family} grid {grid} seed {seed}"),
+                );
+            }
+        }
+    }
+}
+
+/// A city map whose giant component is still splitting after the last
+/// refinement round, so both refinements stop at the round cap rather than
+/// at a stable partition.
+#[test]
+fn refinement_matches_the_frozen_oracle_at_the_round_cap() {
+    let invariant = top(&ign_city(Scale { grid: 16 }, 1));
+    let (vertex_colour, edge_colour) = start_filter_colours(&invariant);
+    let classes = |colour: &[u32]| colour.iter().collect::<std::collections::HashSet<_>>().len();
+    // One more refinement round, written out here: it still splits a class.
+    let keys: std::collections::HashSet<(u32, Vec<(u32, u32)>)> = (0..invariant.vertex_count())
+        .map(|v| {
+            let mut pairs: Vec<(u32, u32)> = invariant
+                .vertex_slots(v)
+                .iter()
+                .map(|&(e, end)| {
+                    let (a, b) = invariant.edge_endpoints(e).expect("slotted edges have ends");
+                    (edge_colour[e], vertex_colour[if end == 0 { b } else { a }])
+                })
+                .collect();
+            pairs.sort_unstable();
+            (vertex_colour[v], pairs)
+        })
+        .collect();
+    assert!(keys.len() > classes(&vertex_colour), "the colouring stabilised before the cap");
+    assert!(classes(&vertex_colour) < invariant.vertex_count(), "the colouring is discrete");
+    assert_colours_match_oracle(&invariant, "city grid 16 seed 1");
+}
+
 /// A random street-grid instance: `h` horizontal and `v` vertical full-width
 /// streets (one region), an optional overlapping district rectangle (second
 /// region) and a few antenna stubs — a single giant skeleton component in the
@@ -249,6 +311,14 @@ proptest! {
         }
         prop_assert!(invariants[0].is_isomorphic_to(&invariants[2]));
         prop_assert_eq!(invariants[0].canonical_code(), invariants[2].canonical_code());
+    }
+
+    /// On the same street grids, the live refinement returns exactly the
+    /// frozen oracle's colours.
+    #[test]
+    fn street_grid_colours_match_the_frozen_oracle(instance in street_grid()) {
+        let invariant = top(&instance);
+        prop_assert_eq!(start_filter_colours(&invariant), refine_colours_naive(&invariant));
     }
 }
 
