@@ -610,16 +610,18 @@ fn measure_parallel(rows: &mut Rows, ctx: &Ctx) {
 /// instance absorbs remove + re-insert round trips (rotating over the
 /// regions) with the canonical hash read back after every edit, vs the two
 /// cold rebuilds the same state sequence costs without maintenance. One
-/// warm-up pass per region runs untimed, so the medians report the caches'
-/// steady state — the regime maintenance exists for; the cold baseline has
-/// no corresponding cache to warm. The maintenance-cache counters of the
-/// timed section record how much work the repairs actually did.
+/// warm-up pass per region runs untimed and visits every state the timed
+/// round trips revisit, so `edit_round_trip` times state-cache hits — the
+/// regime maintenance exists for; the cold baseline has no corresponding
+/// cache to warm. The cache counters of the timed section (`group_builds`,
+/// `group_reuses`, counting whole instance states) record how much work
+/// the repairs actually did.
 ///
-/// Two rows price what the caches do not cover: `fresh_edit` replaces one
+/// Two rows price what the cache does not cover: `fresh_edit` replaces one
 /// region by the same region of a donor map (same generator, another seed),
-/// so every timed edit misses the group cache and builds its dirty groups
-/// cold; `from_empty` adopts the whole instance into an empty maintainer.
-/// Both include the `code_hash` read.
+/// so every timed edit lands on a state never seen and costs one `top`;
+/// `from_empty` adopts the whole instance into an empty maintainer. Both
+/// include the `code_hash` read.
 fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
     let samples = ctx.samples;
     for (name, gen) in WORKLOADS {
@@ -675,7 +677,7 @@ fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
             // One maintained copy per sample, with the region it edits and the
             // donor's version of that region, prepared untimed. Only regions
             // whose donor geometry differs are edited, so no edit can land on
-            // a cached group.
+            // a cached state.
             let donor = gen(Scale { grid }, SEED + 1);
             let fresh: Vec<usize> =
                 (0..regions).filter(|&r| donor.region(r) != instance.region(r)).collect();
@@ -694,7 +696,7 @@ fn measure_incremental(rows: &mut Rows, ctx: &Ctx) {
             });
             at.ns("fresh_edit", fresh_ns, samples);
             for (maintained, _, _) in &prepared {
-                assert!(maintained.stats().group_builds > 0, "a fresh_edit hit the group cache");
+                assert!(maintained.stats().group_builds > 0, "a fresh_edit hit the state cache");
             }
             let mut edited = instance.clone();
             edited.set_region(fresh[0], donor.region(fresh[0]).clone());

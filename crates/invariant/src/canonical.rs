@@ -793,94 +793,6 @@ fn glue_subtree_order(swept: &SweepOutput, root: ComponentId, order: &mut Vec<Ce
     }
 }
 
-// ---------------------------------------------------------------------------
-// Partial forms for incremental maintenance (crate-internal).
-// ---------------------------------------------------------------------------
-
-/// One exterior-embedded component subtree's serialisation under one
-/// orientation: its joined token stream (exactly the run `join_children`
-/// would splice between `CTRL_CHILD_SEP`s at the exterior face) and its glued
-/// depth-first cell order (exactly the run `global_form` emits for the
-/// subtree). Cell ids refer to whatever invariant produced the form; the
-/// incremental maintainer remaps them before merging.
-#[derive(Clone, Debug)]
-pub(crate) struct SubtreeForm {
-    pub(crate) tokens: Vec<u32>,
-    pub(crate) order: Vec<CellRef>,
-}
-
-/// Per-orientation top-level subtree forms of an invariant:
-/// `[counterclockwise, clockwise]`, each holding one [`SubtreeForm`] per
-/// component embedded in the exterior face, in component-id order (callers
-/// sort by token stream when joining).
-///
-/// Because every component's minimal code is intrinsic (see
-/// [`refine_colours`]), the forms of an invariant built from a *subset* of
-/// another instance's regions — provided the subset's components are exactly
-/// the full instance's components over those cells — are bit-identical to
-/// the corresponding subtree runs of the full sweep. This is the contract
-/// `maintain` relies on to canonicalise disjoint region groups independently.
-pub(crate) fn oriented_top_forms(inv: &TopologicalInvariant) -> [Vec<SubtreeForm>; 2] {
-    let idx = Indexes::build(inv);
-    [
-        top_forms(inv, &idx, Orientation::CounterClockwise),
-        top_forms(inv, &idx, Orientation::Clockwise),
-    ]
-}
-
-fn top_forms(
-    inv: &TopologicalInvariant,
-    idx: &Indexes,
-    orientation: Orientation,
-) -> Vec<SubtreeForm> {
-    let swept = sweep_components(inv, idx, orientation);
-    let exterior = inv.exterior_face();
-    inv.components_in_face(exterior)
-        .iter()
-        .map(|&c| {
-            let tokens = swept.results[c].as_ref().expect("component code computed").tokens.clone();
-            let mut order = Vec::new();
-            glue_subtree_order(&swept, c, &mut order);
-            SubtreeForm { tokens, order }
-        })
-        .collect()
-}
-
-/// Assembles a whole-invariant [`CanonicalForm`] from per-orientation
-/// top-level subtree forms (cell ids already remapped to the merged
-/// invariant): per orientation, the subtrees are sorted by token stream and
-/// joined exactly as `join_children` + `global_form` would at the exterior
-/// face; the lexicographically smaller orientation wins, as in
-/// [`canonical_form`]. `exterior` is the merged invariant's exterior face id
-/// and is appended last to each order.
-pub(crate) fn merge_top_forms(
-    schema: Vec<String>,
-    exterior: usize,
-    ccw: Vec<SubtreeForm>,
-    cw: Vec<SubtreeForm>,
-) -> CanonicalForm {
-    fn join(mut forms: Vec<SubtreeForm>, exterior: usize) -> (Vec<u32>, Vec<CellRef>) {
-        forms.sort_by(|a, b| a.tokens.cmp(&b.tokens));
-        let total: usize = forms.iter().map(|f| f.tokens.len() + 1).sum::<usize>();
-        let mut tokens = Vec::with_capacity(total + 1);
-        tokens.push(CTRL_EXTERIOR);
-        let mut order = Vec::new();
-        for (i, f) in forms.iter().enumerate() {
-            if i > 0 {
-                tokens.push(CTRL_CHILD_SEP);
-            }
-            tokens.extend_from_slice(&f.tokens);
-            order.extend_from_slice(&f.order);
-        }
-        order.push((CellKind::Face, exterior));
-        (tokens, order)
-    }
-    let ccw = join(ccw, exterior);
-    let cw = join(cw, exterior);
-    let (tokens, order) = if ccw.0 <= cw.0 { ccw } else { cw };
-    CanonicalForm { code: CanonicalCode { schema, tokens }, order }
-}
-
 /// Joins the finished codes of sibling components into one sorted-multiset
 /// blob (`CTRL_CHILD_SEP`-separated) and reports the sorted component order.
 fn join_children(

@@ -854,17 +854,6 @@ impl TopologicalInvariant {
         })
     }
 
-    /// Seeds the canonical-form cache with an externally assembled form, so
-    /// the first `canonical_code` / `code_hash` call never runs the global
-    /// sweep. Used by the incremental maintainer, which proves its merged
-    /// form equals what [`canonical::canonical_form`] would compute (the
-    /// differential suite pins this bit-for-bit). A no-op if the cache is
-    /// already filled.
-    pub(crate) fn prime_canonical(&self, form: CanonicalForm) {
-        let hash = form.code.code_hash();
-        let _ = self.canonical.set((form, hash));
-    }
-
     /// True iff two invariants are isomorphic, i.e. the underlying spatial
     /// instances are topologically equivalent (Theorem 2.1(ii)). Decided by
     /// comparing cached canonical codes (hash first), so repeated checks on

@@ -310,11 +310,11 @@ impl Program {
     /// ([`magic::rewrite`]) and runs the rewritten program through the same
     /// semi-naive engine as [`Program::run`]; whenever the rewrite refuses
     /// (partial semantics, non-monotone inflationary use, unstratifiable
-    /// rewrite, unsafe rules, `TOPO_DEMAND=off`, …) it evaluates bottom-up
-    /// instead. Either way the result is the sorted goal-matching tuples of
-    /// the goal relation — bit-for-bit what [`Program::run`] plus a goal
-    /// lookup returns (`tests/demand_equivalence.rs`). `None` only in
-    /// partial-fixpoint mode when no fixpoint is reached within `max_steps`.
+    /// rewrite, unsafe rules, …) it evaluates bottom-up instead. Either way
+    /// the result is the sorted goal-matching tuples of the goal relation —
+    /// bit-for-bit what [`Program::run`] plus a goal lookup returns
+    /// (`tests/demand_equivalence.rs`). `None` only in partial-fixpoint mode
+    /// when no fixpoint is reached within `max_steps`.
     ///
     /// ```
     /// use topo_relational::{Goal, Literal, Program, Rule, Semantics, Structure, Term};
@@ -350,9 +350,7 @@ impl Program {
         semantics: Semantics,
         max_steps: usize,
     ) -> Option<Vec<Vec<u32>>> {
-        let rewritten = if !magic::demand_enabled() {
-            Err(magic::FallbackReason::Disabled)
-        } else if goal
+        let rewritten = if goal
             .terms
             .iter()
             .any(|t| matches!(t, Term::Const(c) if *c as usize >= input.domain_size()))

@@ -115,8 +115,6 @@ impl Goal {
 /// fallback is a performance statement, never a correctness one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// Goal-directed mode is switched off (`TOPO_DEMAND=off`).
-    Disabled,
     /// Partial-fixpoint semantics observes intermediate states; restricting
     /// derivations would change them.
     PartialSemantics,
@@ -151,7 +149,6 @@ pub enum FallbackReason {
 impl std::fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            FallbackReason::Disabled => "goal-directed mode disabled",
             FallbackReason::PartialSemantics => "partial-fixpoint semantics",
             FallbackReason::NonMonotoneInflationary => {
                 "inflationary negation/count over a derived relation"
@@ -179,20 +176,6 @@ pub struct MagicProgram {
     pub program: Program,
     /// Adorned copy of the goal relation holding exactly the demanded facts.
     pub goal_relation: String,
-}
-
-/// Is goal-directed evaluation enabled? Reads `TOPO_DEMAND` per call:
-/// `off` / `0` / `false` (case-insensitive) disable the rewrite, everything
-/// else (including the variable being unset) enables it. The switch exists
-/// so the equivalence suites can run both paths in CI.
-pub fn demand_enabled() -> bool {
-    match std::env::var("TOPO_DEMAND") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    }
 }
 
 /// The tuples of `relation` in `result` that match `goal`, sorted. A missing

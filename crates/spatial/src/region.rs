@@ -10,7 +10,7 @@ use topo_geometry::{point_on_segment, BBox, Point, Segment};
 /// regions; by Theorem 2.2 every semi-algebraic instance is topologically
 /// equivalent to a linear one, so the invariant machinery is exercised in full
 /// generality.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Region {
     /// Polygon rings. Each ring is a closed polygon given by its corner
     /// points (the closing segment back to the first point is implicit).

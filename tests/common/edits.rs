@@ -7,8 +7,8 @@
 //!
 //! Geometry is grouped into up to three *islands* (clusters 3 000 apart):
 //! edits that add or drop a multi-island region, or a deliberately wide
-//! *bridge* rectangle spanning two islands, exercise the hull-group
-//! split/merge paths of `MaintainedInvariant`, not just local repair.
+//! *bridge* rectangle spanning two islands, split and merge components,
+//! not just redraw one.
 
 use proptest::prelude::*;
 use topo_core::{Region, SpatialInstance};
@@ -61,7 +61,7 @@ pub fn edit_instance(regions: &[Region]) -> SpatialInstance {
 }
 
 /// Horizontal island pitch: far enough that closed bounding boxes of
-/// different islands can never touch, so each island is its own hull group.
+/// different islands can never touch, so islands share no component.
 const ISLAND_PITCH: i64 = 3_000;
 
 /// Strategy: one region made of 1–3 lattice rectangles (each on one of
@@ -72,7 +72,7 @@ const ISLAND_PITCH: i64 = 3_000;
 pub fn edit_region() -> impl Strategy<Value = Region> {
     let rect = (0i64..5, 0i64..5, 1i64..4, 1i64..4, 0usize..4).prop_map(|(x, y, w, h, island)| {
         if island == 3 {
-            // A bridge: spans islands 0 and 1, forcing a group merge.
+            // A bridge: spans islands 0 and 1, merging their components.
             (x * 100, y * 100, ISLAND_PITCH + x * 100 + w * 70, y * 100 + h * 70)
         } else {
             let dx = island as i64 * ISLAND_PITCH;

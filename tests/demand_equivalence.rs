@@ -196,30 +196,6 @@ fn bound_goals_on_quadratic_reach_agree() {
 }
 
 #[test]
-fn disabled_demand_still_matches_bottom_up() {
-    // With TOPO_DEMAND=off every run_goal call takes the fallback, which is
-    // plain `run` + lookup by construction; equality must be unaffected.
-    // (Other tests racing on the flag can only be pushed onto the fallback
-    // path, which they must pass anyway.)
-    std::env::set_var("TOPO_DEMAND", "off");
-    let instance = figure1();
-    let invariant = top(&instance);
-    let structure = program_structure(&invariant);
-    let program = datalog_program(&TopologicalQuery::IsConnected(0), instance.schema())
-        .expect("connectivity program available");
-    let goal = program.goal_atom();
-    assert_goal_paths_agree(
-        &program,
-        &goal,
-        &structure,
-        &[Semantics::Stratified],
-        usize::MAX,
-        "IsConnected with demand disabled",
-    );
-    std::env::remove_var("TOPO_DEMAND");
-}
-
-#[test]
 fn out_of_domain_goal_constants_fall_back() {
     // A goal constant outside the input domain cannot be seeded as a magic
     // fact (Structure::insert would panic); run_goal must fall back and

@@ -7,7 +7,7 @@
 //! `update_instance` must track the edits query-for-query.
 //!
 //! Edit sequences come in three flavours: scripted split/merge scenarios
-//! (regions bridging previously disjoint hull groups, nesting, shared
+//! (regions bridging previously disjoint islands, nesting, shared
 //! boundaries), drain-and-refill sweeps over every seeded workload in
 //! adversarial orders, and random sequences from the reusable strategies in
 //! `tests/common/edits.rs`. The whole harness runs under thread pools of 1
@@ -78,16 +78,16 @@ fn rect(x0: i64, y0: i64, x1: i64, y1: i64) -> Vec<Point> {
 }
 
 /// Scripted component split/merge scenario: two far-apart islands start as
-/// separate hull groups, a bridge region merges them into one group, and
-/// removing the bridge splits them again — with nesting and a polyline
-/// thrown in so the repair crosses every feature kind.
+/// separate components, a bridge region merges them into one, and removing
+/// the bridge splits them again — with nesting and a polyline thrown in so
+/// the repair crosses every feature kind.
 #[test]
 fn bridge_edits_split_and_merge_hull_groups() {
     let mut m = MaintainedInvariant::from_instance(&edit_instance(&empty_edit_regions()));
     assert_matches_cold(&m, "empty start");
 
     // Island 0: a square with a nested inner ring (containment inside one
-    // group). Island 1: a plain square 5 000 to the east.
+    // component). Island 1: a plain square 5 000 to the east.
     let mut a = Region::new();
     a.add_ring(rect(0, 0, 400, 400));
     a.add_ring(rect(100, 100, 300, 300));
@@ -99,27 +99,28 @@ fn bridge_edits_split_and_merge_hull_groups() {
     m.insert_region(1, b.clone());
     assert_matches_cold(&m, "two disjoint islands");
 
-    // The bridge overlaps both islands: one merged hull group.
+    // The bridge overlaps both islands: one merged component.
     let mut bridge = Region::new();
     bridge.add_ring(rect(300, 150, 5_100, 250));
     bridge.add_polyline(vec![Point::from_ints(200, 380), Point::from_ints(5_200, 380)]);
     m.insert_region(2, bridge);
-    assert_matches_cold(&m, "bridged into one group");
+    assert_matches_cold(&m, "bridged into one component");
     let merged_builds = m.stats().group_builds;
     let reuses_before = m.stats().group_reuses;
 
-    // Removing the bridge splits the group again; the islands' cached
-    // group states must be reused, not rebuilt.
+    // Removing the bridge returns to the two-island state seen before, so
+    // its cached invariant is reused, not rebuilt.
     m.remove_region(2);
     assert_matches_cold(&m, "split back apart");
     assert_eq!(
         m.stats().group_builds,
         merged_builds,
-        "splitting back must rebuild nothing — both island groups are cached"
+        "splitting back must rebuild nothing — the two-island state is cached"
     );
-    assert!(
-        m.stats().group_reuses >= reuses_before + 2,
-        "both island groups must come from the cache"
+    assert_eq!(
+        m.stats().group_reuses,
+        reuses_before + 1,
+        "the two-island state must come from the cache"
     );
 
     // Same topology as before the bridge ever existed.
@@ -141,7 +142,7 @@ fn bridge_edits_split_and_merge_hull_groups() {
 /// Every seeded workload survives a drain-and-refill sweep: remove each
 /// region and re-insert it (local repair on a live instance), then drain
 /// all regions and refill in reverse — an adversarial order that forces
-/// group splits, merges and empty-schema edge cases. Checked after every
+/// component splits, merges and empty-schema edge cases. Checked after every
 /// single step.
 #[test]
 fn seeded_workloads_drain_and_refill_incrementally() {
