@@ -398,7 +398,7 @@ fn store_ingest(store: &InvariantStore, instances: &[SpatialInstance]) {
         for slice in instances.chunks(chunk) {
             s.spawn(move || {
                 for instance in slice {
-                    store.ingest(instance);
+                    store.ingest_invariant(Arc::new(topo_core::top(instance)));
                 }
             });
         }

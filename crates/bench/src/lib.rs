@@ -1,107 +1,10 @@
-//! Shared helpers for the benchmark and experiment harness.
-//!
-//! The `experiments` binary regenerates every table and figure of the paper's
-//! evaluation (see DESIGN.md, "Experiment / figure / table index"); the
-//! `bench_runner` binary records per-stage medians against the frozen
-//! reference paths as one flat table of [`Row`]s. Between them they exercise
-//! invariant construction (Theorem 2.1), inversion (Theorem 2.2), the
-//! Lemma 3.1 orderings, the fixpoint translations (Theorems 4.1/4.2), the
-//! single-region `FO_inv` translation (Theorem 4.9), and the four evaluation
-//! strategies of the practical-considerations section.
+//! Shared helpers of the `bench_runner` perf recorder, which records
+//! per-stage medians against the frozen reference paths as one flat table of
+//! [`Row`]s, and compares a run with a committed record (`--compare`). The
+//! paper's verdicts are asserted by the test suites instead; EXPERIMENTS.md
+//! maps each claim to its test.
 
-use std::time::{Duration, Instant};
-use topo_core::{InvariantStats, SpatialInstance, TopologicalInvariant};
-
-/// Bytes per stored point used by the paper for its raw-data size estimates
-/// (Sequoia 2000 stores 20-byte points; IGN 18-byte points).
-pub const SEQUOIA_BYTES_PER_POINT: usize = 20;
-/// Bytes per stored point for the IGN-style data set.
-pub const IGN_BYTES_PER_POINT: usize = 18;
-
-/// One row of the dataset-statistics table (experiment E1).
-#[derive(Clone, Debug)]
-pub struct DatasetRow {
-    /// Data-set label.
-    pub name: String,
-    /// Number of polygons / polylines in the raw data.
-    pub polygons: usize,
-    /// Number of points in the raw data.
-    pub points: usize,
-    /// Raw size in bytes (points × bytes-per-point).
-    pub raw_bytes: usize,
-    /// Number of cells of the topological invariant.
-    pub cells: usize,
-    /// Invariant size in bytes.
-    pub invariant_bytes: usize,
-    /// Size ratio raw / invariant (the paper reports 1/72 – 1/300).
-    pub ratio: f64,
-    /// Average number of lines meeting at a point.
-    pub avg_degree: f64,
-    /// Maximum number of lines meeting at a point.
-    pub max_degree: usize,
-    /// Time to construct the invariant.
-    pub construction: Duration,
-}
-
-/// Computes one dataset row.
-pub fn dataset_row(name: &str, instance: &SpatialInstance, bytes_per_point: usize) -> DatasetRow {
-    let start = Instant::now();
-    let invariant = topo_core::top(instance);
-    let construction = start.elapsed();
-    let stats = InvariantStats::compute(&invariant);
-    let raw_bytes = instance.raw_bytes(bytes_per_point);
-    DatasetRow {
-        name: name.to_string(),
-        polygons: instance.polygon_count(),
-        points: instance.point_count(),
-        raw_bytes,
-        cells: stats.cells,
-        invariant_bytes: stats.bytes,
-        ratio: if stats.bytes == 0 { 0.0 } else { raw_bytes as f64 / stats.bytes as f64 },
-        avg_degree: stats.average_degree,
-        max_degree: stats.max_degree,
-        construction,
-    }
-}
-
-/// Renders the dataset table.
-pub fn print_dataset_table(rows: &[DatasetRow]) {
-    println!(
-        "{:<22} {:>9} {:>10} {:>12} {:>9} {:>12} {:>8} {:>9} {:>7} {:>10}",
-        "dataset",
-        "polygons",
-        "points",
-        "raw bytes",
-        "cells",
-        "inv bytes",
-        "ratio",
-        "avg deg",
-        "max",
-        "build"
-    );
-    for row in rows {
-        println!(
-            "{:<22} {:>9} {:>10} {:>12} {:>9} {:>12} {:>7.0}x {:>9.2} {:>7} {:>9.1?}",
-            row.name,
-            row.polygons,
-            row.points,
-            row.raw_bytes,
-            row.cells,
-            row.invariant_bytes,
-            row.ratio,
-            row.avg_degree,
-            row.max_degree,
-            row.construction
-        );
-    }
-}
-
-/// Measures a closure, returning its result and the elapsed wall-clock time.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed())
-}
+use std::time::Instant;
 
 /// The median of a sorted-or-not slice of nanosecond samples: the middle
 /// element for odd counts, the mean of the two middle elements (rounded down)
@@ -148,8 +51,8 @@ pub fn median_ns_with<S, T>(
     median_of_ns(&mut times)
 }
 
-/// A small suite of library queries exercised by the strategy-comparison
-/// experiment, over the first two regions of a schema.
+/// A small suite of library queries over the first two regions of a
+/// schema, swept by the store stage.
 pub fn strategy_queries() -> Vec<topo_core::TopologicalQuery> {
     use topo_core::TopologicalQuery as Q;
     vec![
@@ -162,11 +65,6 @@ pub fn strategy_queries() -> Vec<topo_core::TopologicalQuery> {
         Q::ComponentCountEven(0),
         Q::HasHole(0),
     ]
-}
-
-/// Convenience: the invariant of an instance, with construction time.
-pub fn build_invariant(instance: &SpatialInstance) -> (TopologicalInvariant, Duration) {
-    timed(|| topo_core::top(instance))
 }
 
 /// One measurement of `bench_runner`. Every stage reports through this one

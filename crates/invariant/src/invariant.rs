@@ -890,8 +890,8 @@ impl TopologicalInvariant {
 
     /// Exports the invariant with only the *successor* version of the
     /// orientation relation (4-ary `OrientationSucc`), as in \[PSV99\]. Used by
-    /// the Figure 9 experiment showing that the full cyclic order is needed
-    /// for the first-order translation.
+    /// the Figure 9 test (`tests/paper_claims.rs`) of the instances that
+    /// neither this nor the full structure separates in one FO round.
     pub fn to_structure_successor_only(&self) -> Structure {
         self.export(false)
     }

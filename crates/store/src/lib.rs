@@ -74,8 +74,8 @@
 //! let store = InvariantStore::default();
 //! let disk = SpatialInstance::from_regions([("a", Region::rectangle(0, 0, 10, 10))]);
 //! let far = SpatialInstance::from_regions([("a", Region::rectangle(500, 0, 510, 10))]);
-//! let a = store.ingest(&disk);
-//! let b = store.ingest(&far); // topologically the same disk: deduplicated
+//! let ids = store.ingest_batch(&[disk, far]);
+//! let (a, b) = (ids[0], ids[1]); // topologically the same disk: deduplicated
 //! assert_eq!(store.class_of(a), store.class_of(b));
 //! let q = topo_queries::TopologicalQuery::IsConnected(0);
 //! assert_eq!(store.query(a, &q), Some(true));
@@ -193,8 +193,9 @@ impl StoreConfig {
     }
 }
 
-/// The outcome of an admission-checked ingest
-/// ([`InvariantStore::try_ingest`]).
+/// The outcome of one instance of an admission-checked ingest
+/// ([`InvariantStore::try_ingest_batch`],
+/// [`InvariantStore::try_ingest_invariant_batch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IngestOutcome {
     /// The instance opened a new isomorphism class.
@@ -461,18 +462,6 @@ impl InvariantStore {
 
     // ----- ingest ------------------------------------------------------------
 
-    /// Ingests a spatial instance: builds its invariant (the expensive part,
-    /// outside every lock) and content-addresses it into an isomorphism
-    /// class. Returns the dense id assigned to the instance.
-    ///
-    /// # Panics
-    /// Panics if the admission policy rejects the instance (only possible
-    /// with a bounded [`StoreConfig::max_classes`]); bounded stores should
-    /// use [`try_ingest`](Self::try_ingest).
-    pub fn ingest(&self, instance: &SpatialInstance) -> InstanceId {
-        self.ingest_invariant(Arc::new(top(instance)))
-    }
-
     /// Ingests an already-built invariant without copying it: the `Arc` is
     /// stored as the class representative if it opens a new class, and
     /// dropped (the class keeps its first representative) if it joins an
@@ -481,45 +470,24 @@ impl InvariantStore {
     /// # Panics
     /// Panics if the admission policy rejects the invariant (only possible
     /// with a bounded [`StoreConfig::max_classes`]); bounded stores should
-    /// use [`try_ingest_invariant`](Self::try_ingest_invariant).
+    /// use [`try_ingest_invariant_batch`](Self::try_ingest_invariant_batch).
     pub fn ingest_invariant(&self, invariant: Arc<TopologicalInvariant>) -> InstanceId {
-        match self.try_ingest_invariant(invariant) {
+        match self.try_ingest_invariant_batch(std::slice::from_ref(&invariant))[0] {
             IngestOutcome::Admitted(id) | IngestOutcome::Deduplicated(id) => id,
             IngestOutcome::Rejected => panic!(
                 "InvariantStore::ingest_invariant rejected: class table at max_classes ({}); \
-                 use try_ingest_invariant to handle admission",
+                 use try_ingest_invariant_batch to handle admission",
                 self.config.max_classes
             ),
         }
     }
 
-    /// Admission-checked ingest of a spatial instance; see
-    /// [`try_ingest_invariant`](Self::try_ingest_invariant).
-    pub fn try_ingest(&self, instance: &SpatialInstance) -> IngestOutcome {
-        self.try_ingest_invariant(Arc::new(top(instance)))
-    }
-
-    /// Admission-checked ingest: deduplicates into an existing class
-    /// ([`IngestOutcome::Deduplicated`]), opens a new class if the table has
-    /// room ([`IngestOutcome::Admitted`]), or — when the invariant would
-    /// open a class beyond [`StoreConfig::max_classes`] — stores nothing and
-    /// returns [`IngestOutcome::Rejected`] so overload degrades into an
-    /// explicit signal instead of unbounded growth.
-    ///
-    /// On a persistent store the admitted/deduplicated outcome is appended
-    /// to the WAL before the locks release; a backend failure is counted in
-    /// [`StoreStats::wal_errors`] and the in-memory ingest still completes
-    /// (availability over durability — the caller can watch the counter).
-    pub fn try_ingest_invariant(&self, invariant: Arc<TopologicalInvariant>) -> IngestOutcome {
-        self.try_ingest_invariant_batch(std::slice::from_ref(&invariant))[0]
-    }
-
-    /// Batched [`ingest`](Self::ingest): builds and canonicalises every
-    /// invariant across the global thread pool (outside any lock), then
-    /// admits the whole batch in order under one critical section with a
-    /// single amortised WAL append. Ids are assigned in batch order, so the
-    /// result is exactly what a sequential `ingest` loop over the same
-    /// slice would return.
+    /// Ingests spatial instances: builds and canonicalises every invariant
+    /// across the global thread pool (outside any lock), then admits the
+    /// whole batch in order under one critical section with a single
+    /// amortised WAL append. Ids are assigned in batch order, so the result
+    /// is exactly what ingesting the instances one batch of one at a time
+    /// would return.
     ///
     /// # Panics
     /// Panics if the admission policy rejects any instance (only possible
@@ -541,10 +509,10 @@ impl InvariantStore {
 
     /// Admission-checked batched ingest; see
     /// [`ingest_batch`](Self::ingest_batch). Outcomes are reported per
-    /// instance, in batch order, with the same admission semantics as a
-    /// sequential
-    /// [`try_ingest`](Self::try_ingest) loop: a rejected instance stores
-    /// nothing and consumes no id, and later instances still proceed.
+    /// instance, in batch order, with the admission semantics of
+    /// [`try_ingest_invariant_batch`](Self::try_ingest_invariant_batch): a
+    /// rejected instance stores nothing and consumes no id, and later
+    /// instances still proceed.
     pub fn try_ingest_batch(&self, instances: &[SpatialInstance]) -> Vec<IngestOutcome> {
         let pool = topo_parallel::Pool::global();
         // The expensive half — building and canonicalising the invariants —
@@ -558,13 +526,23 @@ impl InvariantStore {
         self.try_ingest_invariant_batch(&invariants)
     }
 
-    /// Batched analogue of
-    /// [`try_ingest_invariant`](Self::try_ingest_invariant): canonicalises
+    /// Admission-checked ingest of already-built invariants. Canonicalises
     /// every invariant across the thread pool first (cached on the
     /// invariants, so this is free for invariants that already carry their
-    /// codes), then admits them in batch order under one critical section,
-    /// appending all WAL records in a single backend write. Observationally
-    /// equivalent to the sequential loop.
+    /// codes), then admits them in batch order under one critical section.
+    /// Each invariant deduplicates into an existing class
+    /// ([`IngestOutcome::Deduplicated`]), opens a new class if the table has
+    /// room ([`IngestOutcome::Admitted`]), or — when it would open a class
+    /// beyond [`StoreConfig::max_classes`] — stores nothing and returns
+    /// [`IngestOutcome::Rejected`], so overload degrades into an explicit
+    /// signal instead of unbounded growth. Observationally equivalent to
+    /// ingesting the invariants one batch of one at a time.
+    ///
+    /// On a persistent store the admitted/deduplicated outcomes are appended
+    /// to the WAL, in a single backend write, before the locks release; a
+    /// backend failure is counted in [`StoreStats::wal_errors`] and the
+    /// in-memory ingest still completes (availability over durability — the
+    /// caller can watch the counter).
     pub fn try_ingest_invariant_batch(
         &self,
         invariants: &[Arc<TopologicalInvariant>],

@@ -523,9 +523,12 @@ pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) 
     enc.usize32(parts.exterior_face);
 }
 
-/// Deserialises an invariant; structural validation happens in
-/// [`TopologicalInvariant::from_parts`], so garbage that happens to pass
-/// the checksum still cannot build an inconsistent invariant.
+/// Deserialises an invariant. [`TopologicalInvariant::from_parts`] checks
+/// that every vector has the right length and every cross-reference is in
+/// bounds, so bytes that pass the checksum cannot index out of range. It
+/// does not check topological consistency (rotation system, faces, Euler
+/// characteristic, region labels): such bytes can still build an invariant
+/// that no instance has (ROADMAP.md, item 5).
 pub(crate) fn decode_invariant(dec: &mut Dec<'_>) -> Result<TopologicalInvariant, PersistError> {
     let region_count = dec.usize32("schema size")?;
     let mut names = Vec::with_capacity(region_count.min(1024));

@@ -16,12 +16,20 @@ fn annulus() -> SpatialInstance {
     SpatialInstance::from_regions([("a", region)])
 }
 
+fn ingest(store: &InvariantStore, instance: &SpatialInstance) -> InstanceId {
+    store.ingest_batch(std::slice::from_ref(instance))[0]
+}
+
+fn try_ingest(store: &InvariantStore, instance: &SpatialInstance) -> IngestOutcome {
+    store.try_ingest_batch(std::slice::from_ref(instance))[0]
+}
+
 #[test]
 fn deduplicates_and_memoises() {
     let store = InvariantStore::default();
-    let a = store.ingest(&disk(0));
-    let b = store.ingest(&disk(500));
-    let c = store.ingest(&annulus());
+    let a = ingest(&store, &disk(0));
+    let b = ingest(&store, &disk(500));
+    let c = ingest(&store, &annulus());
     assert_eq!(store.instance_count(), 3);
     assert_eq!(store.class_count(), 2);
     assert_eq!(store.class_of(a), store.class_of(b));
@@ -64,7 +72,7 @@ fn eviction_respects_capacity_and_preserves_answers() {
         memo_shards: 1,
         ..StoreConfig::default()
     });
-    let a = store.ingest(&disk(0));
+    let a = ingest(&store, &disk(0));
     let queries = [
         TopologicalQuery::HasHole(0),
         TopologicalQuery::IsConnected(0),
@@ -84,7 +92,7 @@ fn eviction_respects_capacity_and_preserves_answers() {
 #[test]
 fn memo_disabled_always_evaluates() {
     let store = InvariantStore::new(StoreConfig::without_memo());
-    let a = store.ingest(&disk(0));
+    let a = ingest(&store, &disk(0));
     let q = TopologicalQuery::IsConnected(0);
     assert_eq!(store.query(a, &q), Some(true));
     assert_eq!(store.query(a, &q), Some(true));
@@ -97,7 +105,7 @@ fn memo_disabled_always_evaluates() {
 #[test]
 fn clear_memo_keeps_answers_and_counts_invalidations() {
     let store = InvariantStore::default();
-    let a = store.ingest(&annulus());
+    let a = ingest(&store, &annulus());
     let q = TopologicalQuery::HasHole(0);
     assert_eq!(store.query(a, &q), Some(true));
     store.clear_memo();
@@ -111,7 +119,7 @@ fn clear_memo_keeps_answers_and_counts_invalidations() {
 #[test]
 fn query_all_matches_per_instance_queries() {
     let store = InvariantStore::default();
-    let ids = [store.ingest(&disk(0)), store.ingest(&annulus()), store.ingest(&disk(300))];
+    let ids = [ingest(&store, &disk(0)), ingest(&store, &annulus()), ingest(&store, &disk(300))];
     let q = TopologicalQuery::HasHole(0);
     let all = store.query_all(&q);
     for (&id, &answer) in ids.iter().zip(all.iter()) {
@@ -125,7 +133,7 @@ fn degenerate_configs_normalise_or_error() {
     // memo_shards == 0 normalises to 1 instead of panicking in shard_of.
     let store = InvariantStore::new(StoreConfig { memo_shards: 0, ..StoreConfig::default() });
     assert_eq!(store.config().memo_shards, 1);
-    let a = store.ingest(&disk(0));
+    let a = ingest(&store, &disk(0));
     assert_eq!(store.query(a, &TopologicalQuery::IsConnected(0)), Some(true));
 
     // More shards than capacity clamps so the per-shard bound stays real.
@@ -163,36 +171,36 @@ fn new_panics_on_unrecoverable_config() {
 #[test]
 fn admission_bound_rejects_new_classes_but_not_duplicates() {
     let store = InvariantStore::new(StoreConfig { max_classes: 1, ..StoreConfig::default() });
-    let first = store.try_ingest(&disk(0));
+    let first = try_ingest(&store, &disk(0));
     assert!(matches!(first, IngestOutcome::Admitted(0)));
     // A duplicate of the resident class is still welcome at capacity.
-    let dup = store.try_ingest(&disk(500));
+    let dup = try_ingest(&store, &disk(500));
     assert!(matches!(dup, IngestOutcome::Deduplicated(1)));
     // A genuinely new class is rejected: nothing stored, no id consumed.
-    let rejected = store.try_ingest(&annulus());
+    let rejected = try_ingest(&store, &annulus());
     assert!(rejected.is_rejected());
     assert_eq!(rejected.id(), None);
     assert_eq!(store.instance_count(), 2);
     assert_eq!(store.class_count(), 1);
     assert_eq!(store.stats().rejected, 1);
     // The next admitted instance still gets a dense id.
-    assert_eq!(store.try_ingest(&disk(42)).id(), Some(2));
+    assert_eq!(try_ingest(&store, &disk(42)).id(), Some(2));
 }
 
 #[test]
 #[should_panic(expected = "max_classes")]
 fn plain_ingest_panics_on_rejection() {
     let store = InvariantStore::new(StoreConfig { max_classes: 1, ..StoreConfig::default() });
-    store.ingest(&disk(0));
-    store.ingest(&annulus());
+    ingest(&store, &disk(0));
+    ingest(&store, &annulus());
 }
 
 #[test]
 fn remove_and_gc_free_the_class_and_its_memo() {
     let store = InvariantStore::default();
-    let a = store.ingest(&disk(0));
-    let b = store.ingest(&disk(500));
-    let c = store.ingest(&annulus());
+    let a = ingest(&store, &disk(0));
+    let b = ingest(&store, &disk(500));
+    let c = ingest(&store, &annulus());
     let disk_class = store.class_of(a).unwrap();
     let q = TopologicalQuery::HasHole(0);
     store.query(a, &q);
@@ -224,7 +232,7 @@ fn remove_and_gc_free_the_class_and_its_memo() {
 
     // Re-ingesting the collected shape opens a fresh class id; the old id
     // stays dead forever.
-    let d = store.ingest(&disk(0));
+    let d = ingest(&store, &disk(0));
     assert_ne!(store.class_of(d), Some(disk_class));
     assert_eq!(store.query(d, &q), Some(false));
 }
@@ -232,10 +240,10 @@ fn remove_and_gc_free_the_class_and_its_memo() {
 #[test]
 fn gc_frees_admission_capacity() {
     let store = InvariantStore::new(StoreConfig { max_classes: 1, ..StoreConfig::default() });
-    let a = store.ingest(&disk(0));
-    assert!(store.try_ingest(&annulus()).is_rejected());
+    let a = ingest(&store, &disk(0));
+    assert!(try_ingest(&store, &annulus()).is_rejected());
     store.remove_instance(a);
-    assert!(matches!(store.try_ingest(&annulus()), IngestOutcome::Admitted(_)));
+    assert!(matches!(try_ingest(&store, &annulus()), IngestOutcome::Admitted(_)));
 }
 
 #[test]
@@ -245,7 +253,7 @@ fn lock_budget_falls_back_instead_of_blocking() {
         memo_lock_budget: Some(3),
         ..StoreConfig::default()
     });
-    let a = store.ingest(&annulus());
+    let a = ingest(&store, &annulus());
     let q = TopologicalQuery::HasHole(0);
     // Freeze the single memo shard with a held write lock: queries must
     // still answer, via the un-memoised fallback.

@@ -36,8 +36,8 @@ pub(crate) fn attach_member(classes: &mut ClassTable, class: usize, id: Instance
 impl InvariantStore {
     /// Re-points a live instance at the class of `invariant`, deduplicating
     /// by content address exactly like
-    /// [`try_ingest_invariant`](Self::try_ingest_invariant). The instance
-    /// keeps its id.
+    /// [`try_ingest_invariant_batch`](Self::try_ingest_invariant_batch). The
+    /// instance keeps its id.
     ///
     /// Returns `None` for an unknown or removed id. Otherwise:
     ///

@@ -15,8 +15,7 @@
 //! dot-depth-`r` languages is replaced by a *finite-universe* variant: the
 //! translation is computed relative to a caller-supplied family of candidate
 //! instances whose cycles realise the types of interest; its cost already
-//! grows explosively with `r`, which is what experiment E7 measures (see
-//! DESIGN.md for the substitution note).
+//! grows explosively with `r` (see DESIGN.md for the substitution note).
 
 use topo_invariant::{ConeItem, TopologicalInvariant};
 use topo_relational::{fo_equivalent, Structure};

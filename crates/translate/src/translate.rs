@@ -179,7 +179,7 @@ impl TranslatedQuery {
 }
 
 /// Counts cells of each kind in an ordered copy — a tiny order-invariant
-/// sanity query used by tests and the experiments harness.
+/// sanity query used by tests.
 ///
 /// ```
 /// use topo_spatial::{Region, SpatialInstance};

@@ -12,7 +12,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use topo_core::parallel::{global_threads, set_global_threads};
 use topo_core::spatial::transform::AffineMap;
-use topo_core::{top, SpatialInstance, TopologicalInvariant, TopologicalQuery};
+use topo_core::{
+    top, IngestOutcome, InvariantStore, SpatialInstance, TopologicalInvariant, TopologicalQuery,
+};
 use topo_datagen::{
     figure1, ign_city, nested_rings, scattered_islands, sequoia_hydro, sequoia_landcover, Scale,
 };
@@ -39,6 +41,11 @@ impl Drop for PoolGuard {
     fn drop(&mut self) {
         set_global_threads(self.previous);
     }
+}
+
+/// Ingests one instance as a batch of one, the store's single-instance path.
+pub fn try_ingest_one(store: &InvariantStore, instance: &SpatialInstance) -> IngestOutcome {
+    store.try_ingest_batch(std::slice::from_ref(instance))[0]
 }
 
 /// The full fingerprint a `top(I)` build must reproduce exactly.

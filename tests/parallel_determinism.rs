@@ -18,7 +18,10 @@ use topo_core::{
 };
 
 mod common;
-use common::{batch_query_mix as query_mix, fingerprint, seeded_workloads as workloads, PoolGuard};
+use common::{
+    batch_query_mix as query_mix, fingerprint, seeded_workloads as workloads, try_ingest_one,
+    PoolGuard,
+};
 
 /// The thread counts every sweep runs: sequential fallback, a small pool, the
 /// acceptance-criteria pool, and heavy oversubscription of any host.
@@ -73,7 +76,7 @@ fn ingest_batch_equivalent_to_sequential_ingest_loop() {
 
     let sequential = InvariantStore::default();
     let loop_outcomes: Vec<IngestOutcome> =
-        batch.iter().map(|i| sequential.try_ingest(i)).collect();
+        batch.iter().map(|i| try_ingest_one(&sequential, i)).collect();
     let batched = InvariantStore::default();
     let batch_outcomes = batched.try_ingest_batch(&batch);
 
@@ -101,7 +104,7 @@ fn ingest_batch_respects_the_admission_bound_like_the_loop() {
 
     let sequential = InvariantStore::new(config);
     let loop_outcomes: Vec<IngestOutcome> =
-        batch.iter().map(|i| sequential.try_ingest(i)).collect();
+        batch.iter().map(|i| try_ingest_one(&sequential, i)).collect();
     let batched = InvariantStore::new(config);
     let batch_outcomes = batched.try_ingest_batch(&batch);
 
@@ -121,7 +124,7 @@ fn batched_wal_recovers_like_per_record_appends() {
     {
         let store = InvariantStore::open(StoreConfig::default(), per_record.clone()).unwrap();
         for instance in &batch {
-            store.ingest(instance);
+            try_ingest_one(&store, instance);
         }
     }
     let grouped = MemoryBackend::new();

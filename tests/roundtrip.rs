@@ -33,8 +33,12 @@ fn homeomorphic_instances_have_isomorphic_invariants() {
 fn inversion_roundtrip_on_invertible_workloads() {
     for (name, instance) in [
         ("hydro", topo_datagen::sequoia_hydro(topo_datagen::Scale::tiny(), 8)),
+        ("hydro tiny 5", topo_datagen::sequoia_hydro(topo_datagen::Scale::tiny(), 5)),
+        ("hydro medium 5", topo_datagen::sequoia_hydro(topo_datagen::Scale::medium(), 5)),
         ("nested rings", topo_datagen::nested_rings(4, 2)),
+        ("nested rings 5", topo_datagen::nested_rings(5, 2)),
         ("islands", topo_datagen::scattered_islands(7)),
+        ("islands 12", topo_datagen::scattered_islands(12)),
     ] {
         let invariant = topo_core::top(&instance);
         let rebuilt = topo_core::invert_verified(&invariant)

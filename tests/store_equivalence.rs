@@ -16,7 +16,9 @@ use topo_core::{
 use topo_datagen::figure1;
 
 mod common;
-use common::{equivalence_query_mix as query_mix, mixed_invariant_workload as workload};
+use common::{
+    equivalence_query_mix as query_mix, mixed_invariant_workload as workload, try_ingest_one,
+};
 
 /// Ingests every invariant (single-threaded, so ids follow slice order) and
 /// checks the full observable state against the oracles. The frozen
@@ -107,9 +109,9 @@ fn transformed_duplicates_land_in_one_class() {
         AffineMap::reflection_x().apply_instance(&base),
     ];
     let store = InvariantStore::default();
-    let first = store.ingest(&base);
+    let first = try_ingest_one(&store, &base).id().unwrap();
     for copy in &copies {
-        store.ingest(copy);
+        try_ingest_one(&store, copy);
     }
     assert_eq!(store.class_count(), 1, "homeomorphic images must share the class");
     assert_eq!(store.classes(), vec![vec![0, 1, 2, 3]]);

@@ -25,23 +25,27 @@ fn query_suite(regions: usize) -> Vec<TopologicalQuery> {
 
 #[test]
 fn all_strategies_agree_on_hydro() {
-    let instance = topo_datagen::sequoia_hydro(topo_datagen::Scale::tiny(), 5);
-    let invariant = topo_core::top(&instance);
-    let structure = topo_core::program_structure(&invariant);
-    let rebuilt = topo_core::invert(&invariant).expect("hydro is invertible");
-    for query in query_suite(instance.schema().len()) {
-        let direct = topo_core::evaluate_direct(&query, &instance);
-        let on_invariant = topo_core::evaluate_on_invariant(&query, &invariant);
-        assert_eq!(direct, on_invariant, "direct vs invariant on {query:?}");
-        if let Some(program) = topo_core::datalog_program(&query, instance.schema()) {
-            let out = program.run(&structure, Semantics::Stratified, usize::MAX).unwrap();
-            let answer = out.relation(&program.output).map(|r| !r.is_empty()).unwrap_or(false);
-            assert_eq!(direct, answer, "datalog vs direct on {query:?}");
-            let goal_answer = program.run_goal_boolean(&structure, Semantics::Stratified);
-            assert_eq!(direct, goal_answer, "goal-directed datalog vs direct on {query:?}");
+    for instance in [
+        topo_datagen::sequoia_hydro(topo_datagen::Scale::tiny(), 5),
+        topo_datagen::sequoia_hydro(topo_datagen::Scale { grid: 6 }, 11),
+    ] {
+        let invariant = topo_core::top(&instance);
+        let structure = topo_core::program_structure(&invariant);
+        let rebuilt = topo_core::invert(&invariant).expect("hydro is invertible");
+        for query in query_suite(instance.schema().len()) {
+            let direct = topo_core::evaluate_direct(&query, &instance);
+            let on_invariant = topo_core::evaluate_on_invariant(&query, &invariant);
+            assert_eq!(direct, on_invariant, "direct vs invariant on {query:?}");
+            if let Some(program) = topo_core::datalog_program(&query, instance.schema()) {
+                let out = program.run(&structure, Semantics::Stratified, usize::MAX).unwrap();
+                let answer = out.relation(&program.output).map(|r| !r.is_empty()).unwrap_or(false);
+                assert_eq!(direct, answer, "datalog vs direct on {query:?}");
+                let goal_answer = program.run_goal_boolean(&structure, Semantics::Stratified);
+                assert_eq!(direct, goal_answer, "goal-directed datalog vs direct on {query:?}");
+            }
+            let on_rebuilt = topo_core::evaluate_direct(&query, &rebuilt);
+            assert_eq!(direct, on_rebuilt, "rebuilt vs direct on {query:?}");
         }
-        let on_rebuilt = topo_core::evaluate_direct(&query, &rebuilt);
-        assert_eq!(direct, on_rebuilt, "rebuilt vs direct on {query:?}");
     }
 }
 
