@@ -221,16 +221,15 @@ impl StorageBackend for FaultyBackend {
 }
 
 impl InvariantStore {
-    /// Test hook: poisons the class/instance table locks by panicking while
-    /// holding them (the panic is caught here). Subsequent accessors must
+    /// Test hook: poisons the table lock by panicking while holding it (the
+    /// panic is caught here). Subsequent accessors must
     /// recover — counted in
     /// [`lock_recoveries`](crate::StoreStats::lock_recoveries) — instead of
     /// propagating the poison.
     pub fn poison_classes_lock(&self) {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let _classes = self.classes.write();
-            let _instances = self.instances.write();
-            panic!("fault injection: poisoning table locks");
+            let _tables = self.tables.write();
+            panic!("fault injection: poisoning the table lock");
         }));
         assert!(result.is_err(), "the poisoning closure must panic");
     }

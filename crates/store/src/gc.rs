@@ -8,53 +8,16 @@
 //! id retired, and its memoised answers purged so no stale
 //! `(class, query)` row survives the class it described.
 //!
-//! Lock discipline: the table mutation happens under the usual
-//! `classes → instances` write locks (with the WAL removal record appended
-//! inside the critical section, keeping WAL order = operation order); the
-//! memo purge runs *after* both locks release, honouring the crate-wide
-//! rule that memo shard locks never nest with the table locks. The window
-//! in between is benign: a stale memo row keyed by a dead class id can no
-//! longer be reached, because every lookup path re-resolves the class id
+//! Lock discipline: the table mutation and its WAL record happen under the
+//! one table write lock (WAL order = operation order); the memo purge runs
+//! *after* it releases, as memo shard locks never nest with the table lock.
+//! The window in between is benign: a stale memo row keyed by a dead class
+//! id is unreachable, because every lookup path re-resolves the class id
 //! first and dead ids resolve to `None`.
 
 use std::sync::atomic::Ordering;
 
-use crate::{write_recover, ClassId, ClassTable, InstanceId, InstanceTable, InvariantStore};
-
-/// Removes a dead instance from the tables: tombstones the slot, drops it
-/// from the member list, and collects the class if it emptied. Returns the
-/// class the instance belonged to and whether the class was collected, or
-/// `None` if the id is unknown or already removed. Shared by the live
-/// removal path and WAL replay so recovery reproduces removal semantics
-/// exactly.
-pub(crate) fn remove_from_tables(
-    classes: &mut ClassTable,
-    instances: &mut InstanceTable,
-    id: InstanceId,
-) -> Option<(ClassId, bool)> {
-    let slot = instances.slots.get_mut(id)?;
-    let class = slot.take()?;
-    instances.live -= 1;
-    let members = &mut classes.members[class];
-    if let Some(pos) = members.iter().position(|&m| m == id) {
-        members.remove(pos);
-    }
-    if !members.is_empty() {
-        return Some((class, false));
-    }
-    // Last member gone: collect the class. The slot keeps its index (ids
-    // are never reused); only the representative and the content address go.
-    classes.reps[class] = None;
-    let hash = classes.hashes[class];
-    if let Some(candidates) = classes.by_hash.get_mut(&hash) {
-        candidates.retain(|&c| c != class);
-        if candidates.is_empty() {
-            classes.by_hash.remove(&hash);
-        }
-    }
-    classes.live -= 1;
-    Some((class, true))
-}
+use crate::{write_recover, ClassId, InstanceId, InvariantStore};
 
 impl InvariantStore {
     /// Removes an ingested instance. Returns `true` if the id was live (and
@@ -66,18 +29,14 @@ impl InvariantStore {
     /// [`query_class`](Self::query_class) answer `None` for it from now on,
     /// its memo entries are purged, its admission slot is freed, and its id
     /// is never reused. On a persistent store the removal is WAL-logged
-    /// before the locks release.
+    /// before the table lock releases.
     pub fn remove_instance(&self, id: InstanceId) -> bool {
         let collected = {
-            let mut classes = write_recover(&self.classes, &self.counters);
-            let mut instances = write_recover(&self.instances, &self.counters);
-            let Some((class, collected)) = remove_from_tables(&mut classes, &mut instances, id)
-            else {
+            let mut tables = write_recover(&self.tables, &self.counters);
+            let Some((class, collected)) = tables.detach(id) else {
                 return false;
             };
-            if self.persistence.is_some() {
-                self.wal_remove(id);
-            }
+            self.wal_remove(id);
             self.counters.removals.fetch_add(1, Ordering::Relaxed);
             if collected {
                 self.counters.gc_classes.fetch_add(1, Ordering::Relaxed);
@@ -92,7 +51,7 @@ impl InvariantStore {
 
     /// Drops every memoised answer of a dead class, counting them into
     /// [`memo_invalidated`](crate::StoreStats::memo_invalidated). Runs
-    /// outside the table locks; racing queries on the dying class either
+    /// outside the table lock; racing queries on the dying class either
     /// already resolved it (and at worst re-insert an entry that the next
     /// purge or eviction removes — harmless, since dead class ids are
     /// unreachable through every lookup path) or resolve it to `None`.

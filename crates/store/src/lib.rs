@@ -48,11 +48,15 @@
 //!   whose last member left is collected — its representative dropped, its
 //!   content address unregistered, its memo entries purged — and ids are
 //!   never reused, so no stale answer can resurface.
-//! * **Graceful degradation and lock hygiene**: every lock accessor recovers
-//!   from poisoning (one panicking writer cannot wedge future readers), and
-//!   an optional per-query lock budget ([`StoreConfig::memo_lock_budget`])
-//!   makes queries fall back to an un-memoised evaluation on the class
-//!   representative instead of blocking on a contended or frozen memo.
+//! * **Graceful degradation and lock hygiene**: the class and instance
+//!   tables sit behind one `RwLock` and change only through the checked
+//!   transitions in `tables.rs`, which live operations and recovery share;
+//!   no memo lock is taken while it is held, so there is no lock order to
+//!   keep. Every lock accessor recovers from poisoning (one panicking writer
+//!   cannot wedge future readers), and an optional per-query lock budget
+//!   ([`StoreConfig::memo_lock_budget`]) makes queries fall back to an
+//!   un-memoised evaluation on the class representative instead of blocking
+//!   on a contended or frozen memo.
 //! * **Deterministic fault injection** ([`fault`]): a [`FaultPlan`] fails
 //!   the Nth backend write, crashes at a named site (mid-append, mid
 //!   snapshot, between snapshot and WAL reset), tears writes and shortens
@@ -93,9 +97,12 @@ use topo_invariant::{top, CodeHash, TopologicalInvariant};
 use topo_queries::{evaluate_goal_directed, evaluate_on_invariant, TopologicalQuery};
 use topo_spatial::SpatialInstance;
 
+use tables::{Attach, Tables};
+
 pub mod fault;
 pub mod gc;
 pub mod persist;
+mod tables;
 pub mod update;
 
 pub use fault::{Fault, FaultKind, FaultPlan, FaultSite, FaultyBackend};
@@ -325,30 +332,6 @@ pub(crate) struct MemoShard {
     pub(crate) map: HashMap<(ClassId, TopologicalQuery), MemoEntry>,
 }
 
-/// The class table: content address → candidate classes, plus the shared
-/// representative, content hash and member list of every class slot. Kept
-/// behind one `RwLock` so a partition snapshot is always internally
-/// consistent. Garbage-collected slots keep their index (`reps[c] == None`)
-/// so class ids are never reused.
-#[derive(Default)]
-pub(crate) struct ClassTable {
-    pub(crate) by_hash: HashMap<CodeHash, Vec<ClassId>>,
-    pub(crate) reps: Vec<Option<Arc<TopologicalInvariant>>>,
-    pub(crate) hashes: Vec<CodeHash>,
-    pub(crate) members: Vec<Vec<InstanceId>>,
-    /// Number of live (non-collected) classes; the admission bound compares
-    /// against this, so GC frees admission capacity.
-    pub(crate) live: usize,
-}
-
-/// The instance table: `InstanceId → ClassId`, with tombstones for removed
-/// instances (ids are never reused).
-#[derive(Default)]
-pub(crate) struct InstanceTable {
-    pub(crate) slots: Vec<Option<ClassId>>,
-    pub(crate) live: usize,
-}
-
 /// The store's monotone counters, grouped so lock helpers can reach them.
 #[derive(Default)]
 pub(crate) struct Counters {
@@ -411,8 +394,7 @@ pub(crate) fn write_recover<'a, T>(
 /// behind an `Arc`). See the [crate docs](crate) for the locking story.
 pub struct InvariantStore {
     config: StoreConfig,
-    pub(crate) classes: RwLock<ClassTable>,
-    pub(crate) instances: RwLock<InstanceTable>,
+    pub(crate) tables: RwLock<Tables>,
     pub(crate) memo: Vec<RwLock<MemoShard>>,
     clock: AtomicU64,
     pub(crate) counters: Counters,
@@ -446,8 +428,7 @@ impl InvariantStore {
         let config = config.validated()?;
         Ok(InvariantStore {
             config,
-            classes: RwLock::new(ClassTable::default()),
-            instances: RwLock::new(InstanceTable::default()),
+            tables: RwLock::new(Tables::default()),
             memo: (0..config.memo_shards).map(|_| RwLock::new(MemoShard::default())).collect(),
             clock: AtomicU64::new(0),
             counters: Counters::default(),
@@ -539,7 +520,7 @@ impl InvariantStore {
     /// ingesting the invariants one batch of one at a time.
     ///
     /// On a persistent store the admitted/deduplicated outcomes are appended
-    /// to the WAL, in a single backend write, before the locks release; a
+    /// to the WAL, in a single backend write, before the table lock releases; a
     /// backend failure is counted in [`StoreStats::wal_errors`] and the
     /// in-memory ingest still completes (availability over durability — the
     /// caller can watch the counter).
@@ -553,69 +534,41 @@ impl InvariantStore {
             invariant.canonical_code();
             hash
         });
-        let mut records: Vec<(InstanceId, ClassId, bool)> = Vec::with_capacity(invariants.len());
+        let mut records: Vec<persist::ClassRecord<'_>> = Vec::with_capacity(invariants.len());
         let mut outcomes = Vec::with_capacity(invariants.len());
-        // Lock order everywhere both are held: `classes` before `instances`.
-        let mut classes = write_recover(&self.classes, &self.counters);
-        let mut instances = write_recover(&self.instances, &self.counters);
+        let mut tables = write_recover(&self.tables, &self.counters);
         for (invariant, &hash) in invariants.iter().zip(&hashes) {
-            let (class, admitted) = match self.locate_class(&classes, hash, invariant) {
+            let located = tables.locate(hash, invariant, &self.counters.hash_collisions);
+            let (class, admitted) = match located {
                 Some(class) => {
                     self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
                     (class, false)
                 }
                 None => {
-                    if classes.live >= self.config.max_classes {
+                    if tables.live_classes() >= self.config.max_classes {
                         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                         outcomes.push(IngestOutcome::Rejected);
                         continue;
                     }
-                    let class = classes.reps.len();
-                    classes.reps.push(Some(invariant.clone()));
-                    classes.hashes.push(hash);
-                    classes.members.push(Vec::new());
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
+                    let class = tables.next_class();
+                    tables.open_class(class, hash, invariant.clone()).expect("next class id");
                     (class, true)
                 }
             };
-            let id = instances.slots.len();
-            instances.slots.push(Some(class));
-            instances.live += 1;
-            classes.members[class].push(id);
-            records.push((id, class, admitted));
+            let id = tables.next_instance();
+            tables.attach(Attach::New, id, class).expect("next id, live class");
+            records.push((id, class, hash, admitted.then_some(&**invariant)));
             outcomes.push(if admitted {
                 IngestOutcome::Admitted(id)
             } else {
                 IngestOutcome::Deduplicated(id)
             });
         }
-        if self.persistence.is_some() {
-            // One group append while both locks are held, so the WAL order is
-            // still exactly the id-assignment order: recovery always sees a
-            // prefix of the operation history.
-            self.wal_ingest_batch(&classes, &records);
-        }
+        // One group append while the table lock is held, so the WAL order is
+        // still exactly the id-assignment order: recovery always sees a
+        // prefix of the operation history.
+        self.wal_class_records(persist::TAG_INGEST, &records);
         outcomes
-    }
-
-    /// Finds the class an invariant belongs to, if any: hash nomination plus
-    /// cached-code confirmation. Counts refuted nominations as collisions.
-    fn locate_class(
-        &self,
-        classes: &ClassTable,
-        hash: CodeHash,
-        invariant: &TopologicalInvariant,
-    ) -> Option<ClassId> {
-        let candidates = classes.by_hash.get(&hash)?;
-        for &candidate in candidates {
-            let Some(rep) = classes.reps[candidate].as_ref() else { continue };
-            if rep.is_isomorphic_to(invariant) {
-                return Some(candidate);
-            }
-            self.counters.hash_collisions.fetch_add(1, Ordering::Relaxed);
-        }
-        None
     }
 
     // ----- query -------------------------------------------------------------
@@ -623,7 +576,7 @@ impl InvariantStore {
     /// Answers a query for an ingested instance, or `None` for an unknown or
     /// removed id. Members of one class share one memoised answer.
     pub fn query(&self, instance: InstanceId, query: &TopologicalQuery) -> Option<bool> {
-        let class = (*read_recover(&self.instances, &self.counters).slots.get(instance)?)?;
+        let class = self.class_of(instance)?;
         self.query_class_inner(class, query)
     }
 
@@ -639,10 +592,9 @@ impl InvariantStore {
     /// Removed instances are skipped, so on a store that never removed
     /// anything this is one answer per ingest in ingest order.
     pub fn query_all(&self, query: &TopologicalQuery) -> Vec<bool> {
-        let assignment: Vec<ClassId> = read_recover(&self.instances, &self.counters)
-            .slots
-            .iter()
-            .filter_map(|slot| *slot)
+        let assignment: Vec<ClassId> = read_recover(&self.tables, &self.counters)
+            .live_instance_entries()
+            .map(|(_, class)| class)
             .collect();
         let mut per_class: HashMap<ClassId, Option<bool>> = HashMap::new();
         assignment
@@ -800,18 +752,18 @@ impl InvariantStore {
 
     /// Number of live instances (removed instances no longer count).
     pub fn instance_count(&self) -> usize {
-        read_recover(&self.instances, &self.counters).live
+        read_recover(&self.tables, &self.counters).live_instances()
     }
 
     /// Number of live isomorphism classes (GC'd classes no longer count).
     pub fn class_count(&self) -> usize {
-        read_recover(&self.classes, &self.counters).live
+        read_recover(&self.tables, &self.counters).live_classes()
     }
 
     /// The class an instance was deduplicated into, or `None` for an unknown
     /// or removed id.
     pub fn class_of(&self, instance: InstanceId) -> Option<ClassId> {
-        *read_recover(&self.instances, &self.counters).slots.get(instance)?
+        read_recover(&self.tables, &self.counters).class_of(instance)
     }
 
     /// The shared representative invariant of a class, or `None` for an
@@ -819,15 +771,13 @@ impl InvariantStore {
     /// allocation ingested first into the class — the store never deep-copies
     /// an invariant.
     pub fn class_representative(&self, class: ClassId) -> Option<Arc<TopologicalInvariant>> {
-        read_recover(&self.classes, &self.counters).reps.get(class)?.clone()
+        read_recover(&self.tables, &self.counters).representative(class).cloned()
     }
 
     /// The live members of a class in ingest order, or `None` for an unknown
     /// or garbage-collected class id.
     pub fn class_members(&self, class: ClassId) -> Option<Vec<InstanceId>> {
-        let classes = read_recover(&self.classes, &self.counters);
-        classes.reps.get(class)?.as_ref()?;
-        classes.members.get(class).cloned()
+        read_recover(&self.tables, &self.counters).members(class).map(<[_]>::to_vec)
     }
 
     /// A consistent snapshot of the partition of all live instances into
@@ -836,14 +786,8 @@ impl InvariantStore {
     /// `topo_queries::isomorphism_classes` on the ingested invariants.
     /// Garbage-collected classes are skipped.
     pub fn classes(&self) -> Vec<Vec<InstanceId>> {
-        let classes = read_recover(&self.classes, &self.counters);
-        classes
-            .members
-            .iter()
-            .zip(classes.reps.iter())
-            .filter(|(_, rep)| rep.is_some())
-            .map(|(members, _)| members.clone())
-            .collect()
+        let tables = read_recover(&self.tables, &self.counters);
+        (0..tables.next_class()).filter_map(|c| tables.members(c)).map(<[_]>::to_vec).collect()
     }
 
     /// Drops every memoised answer, counting them into

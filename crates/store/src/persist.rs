@@ -11,24 +11,34 @@
 //! ```
 //!
 //! The **WAL** is a plain concatenation of records, one per mutating
-//! operation, appended *inside* the store's write-lock critical section so
+//! operation, appended *inside* the store's table-lock critical section so
 //! WAL order is exactly id-assignment order. Payloads are tagged:
 //!
 //! ```text
 //! ingest := 0x01, seq: u64, id: u64, class: u64, code_hash: u64,
 //!           new_class: u8, [invariant (only when new_class = 1)]
+//! update := 0x03, then the ingest fields
 //! remove := 0x02, seq: u64, id: u64
 //! ```
 //!
+//! An update re-points live instance `id` at `class`, collecting its old
+//! class if that empties; an update to the current class is a logged no-op.
+//!
 //! The **snapshot** is a magic + version header (`"TSNP"`, version 1)
-//! followed by a single framed record holding the full live state: the next
-//! WAL sequence number, the slot counts (so dead ids stay dead after
-//! recovery), every live class `(class, code_hash, invariant)` and every
-//! live instance `(id, class)`. Invariants are serialised field by field as
+//! followed by a single framed record holding the full live state:
+//!
+//! ```text
+//! body := seq: u64, class_slots: u64, instance_slots: u64,
+//!         live_classes: u64, (class: u64, code_hash: u64, invariant)*,
+//!         live_instances: u64, (id: u64, class: u64)*
+//! ```
+//!
+//! `seq` is the next WAL sequence number; the slot counts keep dead ids dead
+//! after recovery. Invariants are serialised field by field as
 //! [`topo_invariant::InvariantParts`] lists them (encoded from the borrowed
 //! [`topo_invariant::InvariantPartsRef`] view, decoded back into parts), and
-//! each class record carries its
-//! already-computed [`CodeHash`] — **recovery never re-canonicalises**.
+//! each class carries its already-computed [`CodeHash`] — **recovery never
+//! re-canonicalises**.
 //!
 //! # Recovery contract
 //!
@@ -40,10 +50,22 @@
 //! is torn (incomplete frame) or fails its checksum is **truncated, never
 //! trusted**: replay stops there and the event is counted in
 //! [`StoreStats::wal_truncations`](crate::StoreStats::wal_truncations).
-//! Because every record was appended under the store's write locks, any
+//! Because every record was appended under the store's table lock, any
 //! surviving prefix of the WAL is a prefix of real operation history — which
 //! is exactly the property the fault-injection suite checks recovered
 //! stores against.
+//!
+//! Both decoders apply what they read through the checked transitions the
+//! live operations use (`tables.rs`), so checksum-valid bytes that no
+//! operation history writes are a [`PersistError::Corrupt`], never a panic:
+//!
+//! * ascending ids: the snapshot lists classes, then instances, in strictly
+//!   ascending id order below their slot counts (an unallocatable count is
+//!   refused), and every live class it lists has a member;
+//! * next id only: only the next class id may be opened and only the next
+//!   instance id ingested; updates and removals name a live instance;
+//! * no re-created class: an opened class id, live or collected, is never
+//!   opened again, and every instance joins a live class.
 //!
 //! # Durability vs. availability
 //!
@@ -63,9 +85,8 @@ use std::sync::{Arc, Mutex};
 use topo_invariant::{CodeHash, InvariantParts, TopologicalInvariant};
 use topo_spatial::Schema;
 
-use crate::{
-    gc, read_recover, ClassId, ClassTable, InstanceId, InstanceTable, InvariantStore, StoreConfig,
-};
+use crate::tables::{Attach, Refused, Tables};
+use crate::{read_recover, ClassId, Counters, InstanceId, InvariantStore, StoreConfig};
 
 /// Magic bytes opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
@@ -160,6 +181,12 @@ impl std::error::Error for PersistError {}
 impl From<io::Error> for PersistError {
     fn from(e: io::Error) -> Self {
         PersistError::Io(e)
+    }
+}
+
+impl From<Refused> for PersistError {
+    fn from(refused: Refused) -> Self {
+        PersistError::Corrupt(refused.0)
     }
 }
 
@@ -641,13 +668,10 @@ impl InvariantStore {
         let mut store = Self::try_new(config)
             .map_err(|e| PersistError::Corrupt(format!("invalid StoreConfig: {e}")))?;
 
-        let mut classes = ClassTable::default();
-        let mut instances = InstanceTable::default();
-        let mut next_seq = 0u64;
-
-        if let Some(snapshot) = backend.read_snapshot()? {
-            next_seq = decode_snapshot(&snapshot, &mut classes, &mut instances)?;
-        }
+        let (mut next_seq, mut tables) = match backend.read_snapshot()? {
+            Some(snapshot) => decode_snapshot(&snapshot)?,
+            None => (0, Tables::default()),
+        };
         let snapshot_seq = next_seq;
 
         let wal = backend.read_wal()?;
@@ -665,16 +689,14 @@ impl InvariantStore {
                         payload,
                         snapshot_seq,
                         &mut next_seq,
-                        &mut classes,
-                        &mut instances,
+                        &mut tables,
                         &store.counters,
                     )?;
                 }
             }
         }
 
-        store.classes = std::sync::RwLock::new(classes);
-        store.instances = std::sync::RwLock::new(instances);
+        store.tables = std::sync::RwLock::new(tables);
         store.persistence = Some(Persistence {
             backend,
             seq: AtomicU64::new(next_seq),
@@ -691,12 +713,11 @@ impl InvariantStore {
     /// No-op `Ok` on a store that was not opened over a backend.
     pub fn checkpoint(&self) -> Result<(), PersistError> {
         let Some(persistence) = &self.persistence else { return Ok(()) };
-        // Read-locking both tables (in the classes → instances order) blocks
-        // every mutator, so the state and `seq` are a consistent cut.
-        let classes = read_recover(&self.classes, &self.counters);
-        let instances = read_recover(&self.instances, &self.counters);
+        // Read-locking the tables blocks every mutator, so the state and
+        // `seq` are a consistent cut.
+        let tables = read_recover(&self.tables, &self.counters);
         let seq = persistence.seq.load(Ordering::SeqCst);
-        let snapshot = encode_snapshot(seq, &classes, &instances);
+        let snapshot = encode_snapshot(seq, &tables);
         persistence.backend.write_snapshot(&snapshot)?;
         persistence.backend.reset_wal()?;
         // The snapshot captured everything — including operations a broken
@@ -711,18 +732,15 @@ impl InvariantStore {
         self.persistence.is_some()
     }
 
-    /// Appends a batch of ingest records in **one** backend write; called
-    /// with the class/instance write locks held so seq order equals id
-    /// order. Each record is framed individually — recovery and torn-tail
-    /// truncation see exactly the record stream per-record appends would
-    /// have produced — but the frames are concatenated and handed to the
-    /// backend as a single append, amortising its per-call cost across the
-    /// batch. Backend failure is counted once per record, not propagated.
-    pub(crate) fn wal_ingest_batch(
-        &self,
-        classes: &ClassTable,
-        records: &[(InstanceId, ClassId, bool)],
-    ) {
+    /// Appends a batch of ingest ([`TAG_INGEST`]) or update
+    /// ([`TAG_UPDATE`]) records in **one** backend write; called with the
+    /// table write lock held so seq order equals operation order. Each
+    /// record is framed individually — recovery and torn-tail truncation see
+    /// exactly the record stream per-record appends would have produced —
+    /// but the frames are concatenated and handed to the backend as a single
+    /// append, amortising its per-call cost across the batch. Backend
+    /// failure is counted once per record, not propagated.
+    pub(crate) fn wal_class_records(&self, tag: u8, records: &[ClassRecord<'_>]) {
         let Some(persistence) = &self.persistence else { return };
         if records.is_empty() {
             return;
@@ -732,14 +750,24 @@ impl InvariantStore {
             return;
         }
         let mut enc = Enc::new();
-        for &(id, class, new_class) in records {
+        for &(id, class, hash, opened) in records {
             let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-            push_class_record(&mut enc, TAG_INGEST, seq, classes, id, class, new_class);
+            enc.frame(|enc| {
+                enc.u8(tag);
+                enc.u64(seq);
+                enc.u64(id as u64);
+                enc.u64(class as u64);
+                enc.u64(hash.as_u64());
+                enc.u8(opened.is_some() as u8);
+                if let Some(rep) = opened {
+                    encode_invariant(enc, rep);
+                }
+            });
         }
         self.append_records(persistence, &enc.buf, records.len());
     }
 
-    /// Appends a removal record; called with the write locks held.
+    /// Appends a removal record; called with the table write lock held.
     pub(crate) fn wal_remove(&self, id: InstanceId) {
         let Some(persistence) = &self.persistence else { return };
         let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
@@ -749,27 +777,6 @@ impl InvariantStore {
             enc.u64(seq);
             enc.u64(id as u64);
         });
-        self.append_records(persistence, &enc.buf, 1);
-    }
-
-    /// Appends one ingest ([`TAG_INGEST`]) or update ([`TAG_UPDATE`]: the
-    /// re-point of a live instance at a possibly new class) record. Called
-    /// with the class/instance write locks held so seq order equals
-    /// operation order, and for an update *after* the tables reflect it, so
-    /// `classes` carries the target class's hash and representative.
-    /// Backend failure is counted, not propagated — see the module docs.
-    pub(crate) fn wal_class_record(
-        &self,
-        tag: u8,
-        classes: &ClassTable,
-        id: InstanceId,
-        class: ClassId,
-        new_class: bool,
-    ) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        push_class_record(&mut enc, tag, seq, classes, id, class, new_class);
         self.append_records(persistence, &enc.buf, 1);
     }
 
@@ -793,62 +800,37 @@ impl InvariantStore {
     }
 }
 
-/// Appends one framed ingest or update record to `enc`: instance `id` now
-/// sits in `class`, and a record that creates the class carries its
-/// representative.
-fn push_class_record(
-    enc: &mut Enc,
-    tag: u8,
-    seq: u64,
-    classes: &ClassTable,
-    id: InstanceId,
-    class: ClassId,
-    new_class: bool,
-) {
-    enc.frame(|enc| {
-        enc.u8(tag);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        enc.u64(class as u64);
-        enc.u64(classes.hashes[class].as_u64());
-        enc.u8(new_class as u8);
-        if new_class {
-            let rep = classes.reps[class].as_ref().expect("new class has a representative");
-            encode_invariant(enc, rep);
-        }
-    });
-}
+/// One ingest or update to log: instance `id` now sits in `class`, whose
+/// content hash is `hash`; the representative rides along when the
+/// operation opened the class.
+pub(crate) type ClassRecord<'a> = (InstanceId, ClassId, CodeHash, Option<&'a TopologicalInvariant>);
 
-fn encode_snapshot(seq: u64, classes: &ClassTable, instances: &InstanceTable) -> Vec<u8> {
+fn encode_snapshot(seq: u64, tables: &Tables) -> Vec<u8> {
     let mut out = Enc::new();
     out.buf.extend_from_slice(&SNAPSHOT_MAGIC);
     out.u32(FORMAT_VERSION);
     out.frame(|body| {
         body.u64(seq);
-        body.u64(classes.reps.len() as u64);
-        body.u64(instances.slots.len() as u64);
-        body.u64(classes.live as u64);
-        for (class, rep) in classes.reps.iter().enumerate() {
-            let Some(rep) = rep else { continue };
+        body.u64(tables.next_class() as u64);
+        body.u64(tables.next_instance() as u64);
+        body.u64(tables.live_classes() as u64);
+        for (class, hash, rep) in tables.live_class_entries() {
             body.u64(class as u64);
-            body.u64(classes.hashes[class].as_u64());
+            body.u64(hash.as_u64());
             encode_invariant(body, rep);
         }
-        body.u64(instances.live as u64);
-        for (id, slot) in instances.slots.iter().enumerate() {
-            let Some(class) = slot else { continue };
+        body.u64(tables.live_instances() as u64);
+        for (id, class) in tables.live_instance_entries() {
             body.u64(id as u64);
-            body.u64(*class as u64);
+            body.u64(class as u64);
         }
     });
     out.buf
 }
 
-fn decode_snapshot(
-    bytes: &[u8],
-    classes: &mut ClassTable,
-    instances: &mut InstanceTable,
-) -> Result<u64, PersistError> {
+/// Decodes a snapshot into its WAL seq and tables, reading ids in the
+/// ascending order [`encode_snapshot`] writes and padding the dead slots.
+fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Tables), PersistError> {
     if bytes.len() < 8 || bytes[..4] != SNAPSHOT_MAGIC {
         return Err(PersistError::Corrupt("snapshot magic mismatch".into()));
     }
@@ -869,204 +851,120 @@ fn decode_snapshot(
     let seq = dec.u64("snapshot seq")?;
     let class_slots = dec.u64("class slot count")? as usize;
     let instance_slots = dec.u64("instance slot count")? as usize;
-    classes.reps = vec![None; class_slots];
-    classes.hashes = vec![CodeHash::from_u64(0); class_slots];
-    classes.members = vec![Vec::new(); class_slots];
-    instances.slots = vec![None; instance_slots];
+    let mut tables = Tables::with_capacity(class_slots, instance_slots)?;
 
-    let live_classes = dec.u64("live class count")? as usize;
-    for _ in 0..live_classes {
+    for _ in 0..dec.u64("live class count")? {
         let class = dec.u64("class id")? as usize;
         if class >= class_slots {
             return Err(PersistError::Corrupt(format!("class id {class} out of range")));
         }
         let hash = CodeHash::from_u64(dec.u64("class code hash")?);
         let invariant = decode_invariant(&mut dec)?;
-        classes.reps[class] = Some(Arc::new(invariant));
-        classes.hashes[class] = hash;
-        classes.by_hash.entry(hash).or_default().push(class);
-        classes.live += 1;
+        tables.pad(class, 0)?;
+        tables.open_class(class, hash, Arc::new(invariant))?;
     }
 
-    let live_instances = dec.u64("live instance count")? as usize;
-    for _ in 0..live_instances {
+    for _ in 0..dec.u64("live instance count")? {
         let id = dec.u64("instance id")? as usize;
         let class = dec.u64("instance class")? as usize;
         if id >= instance_slots {
             return Err(PersistError::Corrupt(format!("instance id {id} out of range")));
         }
-        if classes.reps.get(class).map(Option::is_some) != Some(true) {
-            return Err(PersistError::Corrupt(format!(
-                "instance {id} references dead or unknown class {class}"
-            )));
-        }
-        instances.slots[id] = Some(class);
-        classes.members[class].push(id);
-        instances.live += 1;
+        tables.pad(class_slots, id)?;
+        tables.attach(Attach::New, id, class)?;
     }
-    // Snapshot wrote instances in id order, so member lists are sorted in
-    // ingest order exactly as the live store kept them.
+    tables.pad(class_slots, instance_slots)?;
+    tables.check_classes_inhabited()?;
     if !dec.done() {
         return Err(PersistError::Corrupt("trailing bytes inside snapshot body".into()));
     }
-    Ok(seq)
+    Ok((seq, tables))
+}
+
+/// One decoded WAL payload. An ingest ([`Attach::New`]) or update
+/// ([`Attach::Move`]) puts `id` in `class`, opening it when it carries one.
+enum WalRecord {
+    Class {
+        how: Attach,
+        id: InstanceId,
+        class: ClassId,
+        hash: CodeHash,
+        opened: Option<Arc<TopologicalInvariant>>,
+    },
+    Remove(InstanceId),
+}
+
+/// Decodes one checksum-valid WAL payload into its seq and record.
+fn decode_wal_record(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
+    let mut dec = Dec::new(payload);
+    let tag = dec.u8("wal record tag")?;
+    let seq = dec.u64("wal record seq")?;
+    let record = match tag {
+        TAG_INGEST | TAG_UPDATE => {
+            let how = if tag == TAG_INGEST { Attach::New } else { Attach::Move };
+            let id = dec.u64("wal record id")? as usize;
+            let class = dec.u64("wal record class")? as usize;
+            let hash = CodeHash::from_u64(dec.u64("wal record hash")?);
+            let opened = match dec.u8("wal new-class flag")? {
+                0 => None,
+                1 => Some(Arc::new(decode_invariant(&mut dec)?)),
+                other => {
+                    return Err(PersistError::Corrupt(format!("bad new-class flag {other}")));
+                }
+            };
+            WalRecord::Class { how, id, class, hash, opened }
+        }
+        TAG_REMOVE => WalRecord::Remove(dec.u64("wal remove id")? as usize),
+        other => {
+            return Err(PersistError::Corrupt(format!("unknown wal record tag {other:#x}")));
+        }
+    };
+    if !dec.done() {
+        return Err(PersistError::Corrupt("trailing bytes inside wal record".into()));
+    }
+    Ok((seq, record))
 }
 
 /// Applies one checksum-valid WAL payload to the recovering tables; records
-/// predating the snapshot seq are skipped.
+/// predating the snapshot seq are skipped (a crash landed between snapshot
+/// write and WAL reset, so they are already folded in).
 fn apply_wal_record(
     payload: &[u8],
     snapshot_seq: u64,
     next_seq: &mut u64,
-    classes: &mut ClassTable,
-    instances: &mut InstanceTable,
-    counters: &crate::Counters,
+    tables: &mut Tables,
+    counters: &Counters,
 ) -> Result<(), PersistError> {
-    let mut dec = Dec::new(payload);
-    let tag = dec.u8("wal record tag")?;
-    let seq = dec.u64("wal record seq")?;
-    match tag {
-        TAG_INGEST => {
-            let id = dec.u64("wal ingest id")? as usize;
-            let class = dec.u64("wal ingest class")? as usize;
-            let hash = CodeHash::from_u64(dec.u64("wal ingest hash")?);
-            let new_class = match dec.u8("wal new-class flag")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(PersistError::Corrupt(format!("bad new-class flag {other}")));
-                }
-            };
-            let invariant = if new_class { Some(decode_invariant(&mut dec)?) } else { None };
-            if seq < snapshot_seq {
-                // Already folded into the snapshot (a crash landed between
-                // snapshot write and WAL reset).
-                return Ok(());
+    let (seq, record) = decode_wal_record(payload)?;
+    if seq < snapshot_seq {
+        return Ok(());
+    }
+    let collected = match record {
+        WalRecord::Class { how, id, class, hash, opened } => {
+            if let Some(rep) = opened {
+                tables.open_class(class, hash, rep)?;
             }
-            if new_class {
-                if class > classes.reps.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal creates class {class} beyond table end {}",
-                        classes.reps.len()
-                    )));
-                }
-                if class == classes.reps.len() {
-                    classes.reps.push(None);
-                    classes.hashes.push(CodeHash::from_u64(0));
-                    classes.members.push(Vec::new());
-                }
-                if classes.reps[class].is_some() {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal re-creates live class {class}"
-                    )));
-                }
-                classes.reps[class] =
-                    Some(Arc::new(invariant.expect("decoded above when new_class")));
-                classes.hashes[class] = hash;
-                classes.by_hash.entry(hash).or_default().push(class);
-                classes.live += 1;
-            } else if classes.reps.get(class).map(Option::is_some) != Some(true) {
-                return Err(PersistError::Corrupt(format!(
-                    "wal ingest {id} references dead or unknown class {class}"
-                )));
+            let collected = tables.attach(how, id, class)?.is_some();
+            if how == Attach::Move {
+                counters.updates.fetch_add(1, Ordering::Relaxed);
             }
-            if id != instances.slots.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "wal ingest id {id} is not dense (next slot is {})",
-                    instances.slots.len()
-                )));
-            }
-            instances.slots.push(Some(class));
-            instances.live += 1;
-            classes.members[class].push(id);
+            collected
         }
-        TAG_UPDATE => {
-            let id = dec.u64("wal update id")? as usize;
-            let class = dec.u64("wal update class")? as usize;
-            let hash = CodeHash::from_u64(dec.u64("wal update hash")?);
-            let new_class = match dec.u8("wal new-class flag")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(PersistError::Corrupt(format!("bad new-class flag {other}")));
-                }
-            };
-            let invariant = if new_class { Some(decode_invariant(&mut dec)?) } else { None };
-            if seq < snapshot_seq {
-                return Ok(());
-            }
-            let current = instances.slots.get(id).copied().flatten();
-            if current.is_none() {
-                return Err(PersistError::Corrupt(format!(
-                    "wal updates unknown or removed instance {id}"
-                )));
-            }
-            if current != Some(class) {
-                // Detach from the old class (collecting it if emptied), then
-                // attach to the target — exactly the live transition.
-                let (_, collected) = gc::remove_from_tables(classes, instances, id)
-                    .expect("slot checked live above");
-                if collected {
-                    counters.gc_classes.fetch_add(1, Ordering::Relaxed);
-                }
-                if new_class {
-                    if class > classes.reps.len() {
-                        return Err(PersistError::Corrupt(format!(
-                            "wal creates class {class} beyond table end {}",
-                            classes.reps.len()
-                        )));
-                    }
-                    if class == classes.reps.len() {
-                        classes.reps.push(None);
-                        classes.hashes.push(CodeHash::from_u64(0));
-                        classes.members.push(Vec::new());
-                    }
-                    if classes.reps[class].is_some() {
-                        return Err(PersistError::Corrupt(format!(
-                            "wal re-creates live class {class}"
-                        )));
-                    }
-                    classes.reps[class] =
-                        Some(Arc::new(invariant.expect("decoded above when new_class")));
-                    classes.hashes[class] = hash;
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
-                } else if classes.reps.get(class).map(Option::is_some) != Some(true) {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal update of {id} references dead or unknown class {class}"
-                    )));
-                }
-                instances.slots[id] = Some(class);
-                instances.live += 1;
-                crate::update::attach_member(classes, class, id);
-            }
-            counters.updates.fetch_add(1, Ordering::Relaxed);
+        WalRecord::Remove(id) => {
+            let (_, collected) = tables.detach(id).ok_or_else(|| {
+                PersistError::Corrupt(format!("wal removes unknown or removed instance {id}"))
+            })?;
+            counters.removals.fetch_add(1, Ordering::Relaxed);
+            collected
         }
-        TAG_REMOVE => {
-            let id = dec.u64("wal remove id")? as usize;
-            if seq < snapshot_seq {
-                return Ok(());
-            }
-            match gc::remove_from_tables(classes, instances, id) {
-                None => {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal removes unknown or already-removed instance {id}"
-                    )));
-                }
-                Some((_, collected)) => {
-                    counters.removals.fetch_add(1, Ordering::Relaxed);
-                    if collected {
-                        counters.gc_classes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        other => {
-            return Err(PersistError::Corrupt(format!("unknown wal record tag {other:#x}")));
-        }
+    };
+    if collected {
+        counters.gc_classes.fetch_add(1, Ordering::Relaxed);
     }
     counters.replayed_records.fetch_add(1, Ordering::Relaxed);
-    *next_seq = (*next_seq).max(seq + 1);
+    let after =
+        seq.checked_add(1).ok_or_else(|| PersistError::Corrupt("wal seq overflows".into()))?;
+    *next_seq = (*next_seq).max(after);
     Ok(())
 }
 

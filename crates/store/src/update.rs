@@ -22,16 +22,8 @@ use std::sync::Arc;
 use topo_invariant::TopologicalInvariant;
 
 use crate::persist::TAG_UPDATE;
-use crate::{gc, write_recover, ClassTable, IngestOutcome, InstanceId, InvariantStore};
-
-/// Inserts `id` into a class member list keeping the list sorted by
-/// instance id — the order ingests produce and snapshots preserve, so a
-/// recovered store is bit-identical to the live one even after updates.
-pub(crate) fn attach_member(classes: &mut ClassTable, class: usize, id: InstanceId) {
-    let members = &mut classes.members[class];
-    let pos = members.partition_point(|&m| m < id);
-    members.insert(pos, id);
-}
+use crate::tables::Attach;
+use crate::{write_recover, IngestOutcome, InstanceId, InvariantStore};
 
 impl InvariantStore {
     /// Re-points a live instance at the class of `invariant`, deduplicating
@@ -51,7 +43,7 @@ impl InvariantStore {
     ///   store is left untouched.
     ///
     /// On a persistent store the whole transition is logged as **one** WAL
-    /// record while the table locks are held, so recovery replays it
+    /// record while the table lock is held, so recovery replays it
     /// atomically: a crash recovers the old state or the new state, never a
     /// torn one. If the update empties the old class it is garbage-collected
     /// (admission slot freed, memo purged) just like the last
@@ -70,68 +62,45 @@ impl InvariantStore {
         let hash = invariant.code_hash();
         invariant.canonical_code();
         let (outcome, purge) = {
-            // Lock order everywhere both are held: `classes` before
-            // `instances`.
-            let mut classes = write_recover(&self.classes, &self.counters);
-            let mut instances = write_recover(&self.instances, &self.counters);
-            let old_class = (*instances.slots.get(id)?)?;
-
-            let located = self.locate_class(&classes, hash, &invariant);
-            if located == Some(old_class) {
-                // No-op update: the repaired invariant is still isomorphic
-                // to the old one. Log it anyway — replay needs the record to
-                // reproduce the (idempotent) transition and the seq stream.
-                self.counters.updates.fetch_add(1, Ordering::Relaxed);
-                if self.persistence.is_some() {
-                    self.wal_class_record(TAG_UPDATE, &classes, id, old_class, false);
-                }
-                return Some(IngestOutcome::Deduplicated(id));
-            }
-            if located.is_none() {
-                // Admission check *before* touching anything, counting the
-                // slot the update itself frees when the instance is its old
-                // class's last member.
-                let freed = (classes.members[old_class].len() == 1) as usize;
-                if classes.live - freed >= self.config.max_classes {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Some(IngestOutcome::Rejected);
-                }
-            }
-
-            let (_, collected) = gc::remove_from_tables(&mut classes, &mut instances, id)
-                .expect("slot checked live above");
+            let mut tables = write_recover(&self.tables, &self.counters);
+            let old_class = tables.class_of(id)?;
+            let located = tables.locate(hash, &invariant, &self.counters.hash_collisions);
             let (class, admitted) = match located {
+                // Possibly the old class: a no-op update, still logged so
+                // replay reproduces the (idempotent) transition and the seq
+                // stream.
                 Some(class) => (class, false),
                 None => {
-                    let class = classes.reps.len();
-                    classes.reps.push(Some(invariant));
-                    classes.hashes.push(hash);
-                    classes.members.push(Vec::new());
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
+                    // Admission check *before* touching anything, counting
+                    // the slot the update itself frees when the instance is
+                    // its old class's last member.
+                    let freed = tables.members(old_class).map_or(0, |m| (m.len() == 1) as usize);
+                    if tables.live_classes() - freed >= self.config.max_classes {
+                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        return Some(IngestOutcome::Rejected);
+                    }
+                    let class = tables.next_class();
+                    tables.open_class(class, hash, invariant.clone()).expect("next class id");
                     (class, true)
                 }
             };
-            instances.slots[id] = Some(class);
-            instances.live += 1;
-            attach_member(&mut classes, class, id);
+            let collected = tables.attach(Attach::Move, id, class).expect("live id, live class");
             self.counters.updates.fetch_add(1, Ordering::Relaxed);
-            if collected {
+            if collected.is_some() {
                 self.counters.gc_classes.fetch_add(1, Ordering::Relaxed);
             }
-            if self.persistence.is_some() {
-                // One record for the whole transition, appended while both
-                // locks are held so WAL order stays operation order.
-                self.wal_class_record(TAG_UPDATE, &classes, id, class, admitted);
-            }
+            // One record for the whole transition, appended while the table
+            // lock is held so WAL order stays operation order.
+            let opened = admitted.then_some(&*invariant);
+            self.wal_class_records(TAG_UPDATE, &[(id, class, hash, opened)]);
             let outcome = if admitted {
                 IngestOutcome::Admitted(id)
             } else {
                 IngestOutcome::Deduplicated(id)
             };
-            (outcome, collected.then_some(old_class))
+            (outcome, collected)
         };
-        // Memo purge outside the table locks, as everywhere (see `gc`).
+        // Memo purge outside the table lock, as everywhere (see `gc`).
         if let Some(class) = purge {
             self.purge_class_memo(class);
         }

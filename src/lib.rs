@@ -3,3 +3,9 @@
 //! [`topo_core`], re-exported here for convenience.
 
 pub use topo_core as api;
+
+/// The `rust` blocks of README.md, compiled and run as doctests so the
+/// README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

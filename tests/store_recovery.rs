@@ -11,7 +11,9 @@
 //! construction — replay the first `k` operations on a fresh in-memory
 //! store — sound, including under concurrent writers.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use topo_core::store::persist::crc32;
 use topo_core::{
     FaultKind, FaultPlan, FaultSite, FaultyBackend, FileBackend, IngestOutcome, InvariantStore,
     MemoryBackend, PersistError, StorageBackend, StoreConfig, TopologicalInvariant,
@@ -463,11 +465,130 @@ fn corrupt_snapshots_fail_loudly() {
         Err(PersistError::Corrupt(_))
     ));
 
+    // Bytes that pass the checksum but describe no store: the body is
+    // mutated, then re-framed with a fresh CRC. The body of one class and
+    // one instance is `seq, class_slots, instance_slots, 1, class entry, 1,
+    // (0, 0)`, so the class entry is everything between the fixed 32-byte
+    // head and the fixed 24-byte instance list.
+    let body = frame_payloads(&pristine[8..]).remove(0);
+    let (head, class_entry, tail) =
+        (&body[..32], &body[32..body.len() - 24], &body[body.len() - 24..]);
+    let class_twice = [&head[..24], &2u64.to_le_bytes(), class_entry, class_entry, tail].concat();
+    let instance_twice =
+        [&body[..body.len() - 24], &2u64.to_le_bytes(), &[0u8; 16], &[0u8; 16]].concat();
+    let mut class_slots_max = body.clone();
+    class_slots_max[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut instance_slots_max = body.clone();
+    instance_slots_max[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut accepted = Vec::new();
+    for (label, mutated) in [
+        ("class listed twice", class_twice),
+        ("instance listed twice", instance_twice),
+        ("class slot count u64::MAX", class_slots_max),
+        ("instance slot count u64::MAX", instance_slots_max),
+    ] {
+        durable.set_snapshot_bytes(Some([&pristine[..8], &framed(&mutated)].concat()));
+        if let Some(outcome) = open_unless_corrupt(&durable) {
+            accepted.push(format!("{label}: {outcome}"));
+        }
+    }
+    assert!(accepted.is_empty(), "checksum-valid hostile snapshots not refused: {accepted:?}");
+
     // The pristine bytes still recover (the corruption checks above did not
     // mutate shared state).
     durable.set_snapshot_bytes(Some(pristine));
     let recovered = InvariantStore::open(StoreConfig::default(), durable).unwrap();
     assert_eq!(recovered.instance_count(), 1);
+}
+
+/// Frames a payload as the persist format does: length, payload, CRC-32.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    [&(payload.len() as u32).to_le_bytes()[..], payload, &crc32(payload).to_le_bytes()].concat()
+}
+
+/// The payloads of a stream of well-formed frames.
+fn frame_payloads(mut stream: &[u8]) -> Vec<Vec<u8>> {
+    let mut payloads = Vec::new();
+    while !stream.is_empty() {
+        let len = u32::from_le_bytes(stream[..4].try_into().unwrap()) as usize;
+        payloads.push(stream[4..4 + len].to_vec());
+        stream = &stream[len + 8..];
+    }
+    payloads
+}
+
+/// Opens a store over `durable`; `None` if that is refused as
+/// `PersistError::Corrupt`, else what happened instead (an open store, an
+/// I/O error or a panic).
+fn open_unless_corrupt(durable: &Arc<MemoryBackend>) -> Option<String> {
+    let opened = catch_unwind(AssertUnwindSafe(|| {
+        InvariantStore::open(StoreConfig::default(), durable.clone())
+    }));
+    match opened {
+        Ok(Err(PersistError::Corrupt(_))) => None,
+        Ok(Err(other)) => Some(format!("failed with {other}")),
+        Ok(Ok(store)) => {
+            Some(format!("opened with {} classes over {:?}", store.class_count(), store.classes()))
+        }
+        Err(_) => Some("panicked".into()),
+    }
+}
+
+/// WAL records that pass their checksum but break the rules every live
+/// operation obeys are refused as corrupt, not replayed or panicked on.
+#[test]
+fn checksummed_hostile_wal_records_are_corrupt() {
+    let pool = pool();
+    let durable = MemoryBackend::new();
+    {
+        let store = InvariantStore::open(StoreConfig::default(), durable.clone()).unwrap();
+        run_ops(&store, &[Op::Ingest(pool[0].clone()), Op::Ingest(pool[1].clone()), Op::Remove(0)]);
+    }
+    // Instance 1 sits alone in class 1; class 0 was collected; the next
+    // ids are instance 2 and class 2, and the next seq is 3.
+    let valid = durable.wal_bytes();
+    let records = frame_payloads(&valid);
+    assert_eq!(records.len(), 3);
+
+    // An ingest or update payload is `tag, seq, id, class, code_hash,
+    // new_class, [invariant]` (offsets 0, 1, 9, 17, 25, 33, 34).
+    let class_record = |from: &[u8], tag: u8, id: u64, class: u64, opens: bool| {
+        let mut record = if opens { from.to_vec() } else { from[..34].to_vec() };
+        record[0] = tag;
+        record[1..9].copy_from_slice(&3u64.to_le_bytes());
+        record[9..17].copy_from_slice(&id.to_le_bytes());
+        record[17..25].copy_from_slice(&class.to_le_bytes());
+        record[33] = opens as u8;
+        record
+    };
+    let (ingest, update) = (0x01, 0x03);
+    let mut accepted = Vec::new();
+    for (label, hostile) in [
+        ("ingest re-opens live class 1", class_record(&records[1], ingest, 2, 1, true)),
+        ("ingest re-opens collected class 0", class_record(&records[0], ingest, 2, 0, true)),
+        ("ingest opens class 5 past the next id 2", class_record(&records[1], ingest, 2, 5, true)),
+        ("ingest takes id 7, not the next id 2", class_record(&records[1], ingest, 7, 1, false)),
+        ("update opens instance 1's current class", class_record(&records[1], update, 1, 1, true)),
+        (
+            "remove with seq u64::MAX",
+            [&[0x02][..], &u64::MAX.to_le_bytes(), &1u64.to_le_bytes()].concat(),
+        ),
+        (
+            "remove with a trailing byte",
+            [&[0x02][..], &3u64.to_le_bytes(), &1u64.to_le_bytes(), &[0]].concat(),
+        ),
+    ] {
+        durable.set_wal_bytes([&valid[..], &framed(&hostile)].concat());
+        if let Some(outcome) = open_unless_corrupt(&durable) {
+            accepted.push(format!("{label}: {outcome}"));
+        }
+    }
+    assert!(accepted.is_empty(), "checksum-valid hostile WAL records not refused: {accepted:?}");
+
+    durable.set_wal_bytes(valid);
+    let recovered = InvariantStore::open(StoreConfig::default(), durable).unwrap();
+    assert_eq!(recovered.stats().replayed_records, 3);
+    assert_eq!(recovered.classes(), vec![vec![1]]);
 }
 
 #[test]
