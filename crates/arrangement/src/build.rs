@@ -2,12 +2,18 @@
 //!
 //! The builder proceeds in the classical phases:
 //!
-//! 1. find all pairwise segment intersections (grid-pruned, exactly verified)
-//!    and split every input segment at every vertex lying on it;
-//! 2. intern vertices and create the undirected arrangement edges, merging
-//!    coincident sub-segments and accumulating their source tags;
+//! 1. intern the input endpoints once ([`Endpoints`]), merge exact duplicate
+//!    segments, find every pairwise segment intersection and split every
+//!    input segment at every vertex lying on it. Pairs meeting away from a
+//!    shared endpoint come from the grid, which never pairs segments sharing
+//!    an endpoint; a collinear overlap through a shared endpoint is found by
+//!    sorting the endpoint's incident segments by direction;
+//! 2. map split points to vertices (endpoints by id, crossings by hash) and
+//!    create the undirected arrangement edges, merging coincident
+//!    sub-segments and accumulating their source tags;
 //! 3. build the rotation system (counterclockwise order of edges around each
-//!    vertex) and the half-edge `next` pointers;
+//!    vertex, each edge directed along its input segment) and the half-edge
+//!    `next` pointers;
 //! 4. trace face-boundary cycles, identify for every connected component of
 //!    the 1-skeleton its *outer contour* (the cycle bounding the component
 //!    from outside), and create one face per remaining cycle plus the
@@ -17,6 +23,7 @@
 //! 6. assemble incidences.
 
 use crate::containment::{CycleGeometry, CycleIndex};
+use crate::endpoints::Endpoints;
 use crate::{ArrEdge, ArrFace, Arrangement, ArrangementInput, EdgeId, FaceId, VertexId};
 use std::collections::HashMap;
 use topo_geometry::{
@@ -26,7 +33,9 @@ use topo_geometry::{
 
 /// Builds the planar arrangement induced by the input segments and points.
 pub fn build_arrangement(input: &ArrangementInput) -> Arrangement {
-    Builder::new(input).run()
+    let builder = Builder::new(input);
+    let splits = builder.compute_splits();
+    builder.run_from_splits(splits)
 }
 
 /// Phase 1 alone: for every input segment, the points at which it must be
@@ -34,13 +43,25 @@ pub fn build_arrangement(input: &ArrangementInput) -> Arrangement {
 /// every isolated input point lying on it. `result[i]` belongs to
 /// `input.segments[i]` and starts with its endpoints `a`, `b`; the interior
 /// points follow in no particular order and may repeat (the builder
-/// normalises with a per-segment sort + dedup).
+/// normalises with a per-segment sort + dedup). A segment repeating an
+/// earlier one (same endpoints, either order) gets the earlier one's list.
 ///
 /// Exposed with [`build_arrangement_from_splits`] so a harness can time
 /// phase 1 apart from the rest of the build; every other caller goes through
 /// [`build_arrangement`].
 pub fn compute_split_points(input: &ArrangementInput) -> Vec<Vec<Point>> {
-    Builder::new(input).compute_splits()
+    let builder = Builder::new(input);
+    let mut splits = builder.compute_splits();
+    let index = &builder.endpoints;
+    for (i, &rep) in index.rep.iter().enumerate() {
+        if rep != i {
+            splits[i] = splits[rep].clone();
+            if index.ends[i] != index.ends[rep] {
+                splits[i].swap(0, 1);
+            }
+        }
+    }
+    splits
 }
 
 /// Builds the arrangement from precomputed split lists, skipping phase 1.
@@ -48,7 +69,9 @@ pub fn compute_split_points(input: &ArrangementInput) -> Vec<Vec<Point>> {
 /// Contract: `splits[i]` must contain segment `i`'s two endpoints plus every
 /// interior event point (intersections with other segments, isolated points on
 /// the segment), all lying on segment `i`. Order and duplicates are
-/// irrelevant. Feeding the output of [`compute_split_points`] reproduces
+/// irrelevant. A segment repeating an earlier one (same endpoints, either
+/// order) takes the earlier one's edges, and its own list is not read.
+/// Feeding the output of [`compute_split_points`] reproduces
 /// [`build_arrangement`] exactly, which is what lets a harness time phase 1
 /// apart; feeding anything less yields an arrangement of the *wrong*
 /// subdivision.
@@ -64,99 +87,229 @@ pub fn build_arrangement_from_splits(
 /// vertices and the encoded source tags of the input segments covering it.
 type RawEdge = (VertexId, VertexId, Vec<u32>);
 
+/// The edges of phase 2: their endpoints and sources, each edge's direction
+/// from `v1` to `v2` (its creating input segment's direction, a positive
+/// multiple of `v2 - v1`), each vertex's edges, and the vertex of every
+/// isolated input point.
+struct Edges {
+    edges: Vec<RawEdge>,
+    dirs: Vec<DirectionVector>,
+    /// Each vertex's edges, in creation order until phase 3 sorts them.
+    rotations: Vec<Vec<EdgeId>>,
+    point_vertices: Vec<VertexId>,
+}
+
+/// The direction of edge `e` leaving vertex `v`.
+fn outgoing(
+    edges: &[RawEdge],
+    dirs: &[DirectionVector],
+    e: EdgeId,
+    v: VertexId,
+) -> DirectionVector {
+    if edges[e].0 == v {
+        dirs[e]
+    } else {
+        -dirs[e]
+    }
+}
+
 struct Builder<'a> {
     input: &'a ArrangementInput,
-    vertex_ids: HashMap<Point, VertexId>,
+    endpoints: Endpoints,
     vertices: Vec<Point>,
 }
 
 impl<'a> Builder<'a> {
     fn new(input: &'a ArrangementInput) -> Self {
-        Builder { input, vertex_ids: HashMap::new(), vertices: Vec::new() }
-    }
-
-    fn intern(&mut self, p: Point) -> VertexId {
-        if let Some(&id) = self.vertex_ids.get(&p) {
-            return id;
-        }
-        let id = self.vertices.len();
-        self.vertices.push(p);
-        self.vertex_ids.insert(p, id);
-        id
-    }
-
-    fn run(mut self) -> Arrangement {
-        let splits = self.compute_splits();
-        self.run_from_splits(splits)
+        Builder { input, endpoints: Endpoints::new(input), vertices: Vec::new() }
     }
 
     fn run_from_splits(mut self, splits: Vec<Vec<Point>>) -> Arrangement {
-        let (edges, point_vertices) = self.build_edges(splits);
-        let rotations = self.build_rotations(&edges);
-        let (next, cycle_of, cycle_count) = self.trace_cycles(&edges, &rotations);
+        let Edges { edges, dirs, mut rotations, point_vertices } = self.build_edges(splits);
+        Self::sort_rotations(&edges, &dirs, &mut rotations);
+        let (cycle_of, cycle_count) = self.trace_cycles(&edges, &rotations);
         let assembled =
-            self.assemble_faces(edges, rotations, point_vertices, &next, &cycle_of, cycle_count);
+            self.assemble_faces(edges, &dirs, rotations, point_vertices, &cycle_of, cycle_count);
         debug_assert!(assembled.validate().is_ok(), "{:?}", assembled.validate());
         assembled
     }
 
-    /// Phase 1: for every input segment, the set of points at which it must be
-    /// split (its endpoints, intersection points with other segments, and
-    /// isolated input points lying on it).
+    /// Phase 1: for every distinct input segment, the points at which it
+    /// must be split (its endpoints, intersection points with other
+    /// segments, and isolated input points lying on it). A duplicate
+    /// segment's list is left empty: phase 2 reads its representative's.
     ///
     /// Each list starts with the segment's two endpoints, and no other point
-    /// equal to one of them is pushed. Two segments sharing an input
-    /// endpoint meet only there unless they are collinear, so one
-    /// orientation test of the far endpoint settles such a pair; only
-    /// collinear pairs (partial overlaps and duplicates) are intersected.
-    fn compute_splits(&mut self) -> Vec<Vec<Point>> {
-        let segments: Vec<Segment> = self.input.segments.iter().map(|(s, _)| *s).collect();
-        let mut splits: Vec<Vec<Point>> = segments.iter().map(|s| vec![s.a, s.b]).collect();
-        if !segments.is_empty() {
-            let grid = SegmentGrid::build(&segments);
-            for (i, j) in grid.candidate_pairs() {
-                let (s, t) = (&segments[i], &segments[j]);
-                if let Some(far) = far_endpoint_if_shared(s, t) {
-                    if orientation(&s.a, &s.b, &far) != Orientation::Collinear {
-                        continue;
-                    }
+    /// equal to one of them is pushed. Two distinct segments sharing an
+    /// endpoint meet elsewhere only when they run along the same ray from
+    /// it, so the grid never pairs them and the per-endpoint direction sort
+    /// finds those overlaps instead.
+    fn compute_splits(&self) -> Vec<Vec<Point>> {
+        let (input, index) = (self.input, &self.endpoints);
+        let distinct: Vec<usize> =
+            (0..input.segments.len()).filter(|&i| index.rep[i] == i).collect();
+        let mut splits: Vec<Vec<Point>> = input
+            .segments
+            .iter()
+            .zip(&index.rep)
+            .enumerate()
+            .map(|(i, ((s, _), &rep))| if rep == i { vec![s.a, s.b] } else { Vec::new() })
+            .collect();
+        if distinct.is_empty() {
+            return splits;
+        }
+        let segments: Vec<Segment> = distinct.iter().map(|&i| input.segments[i].0).collect();
+        let ends: Vec<[u32; 2]> = distinct.iter().map(|&i| index.ends[i]).collect();
+        let grid = SegmentGrid::build(&segments, &ends);
+        for (k, l) in grid.candidate_pairs() {
+            let (s, t) = (&segments[k], &segments[l]);
+            let (i, j) = (distinct[k], distinct[l]);
+            match s.intersect(t) {
+                SegmentIntersection::None => {}
+                SegmentIntersection::Point(p) => {
+                    push_interior(&mut splits[i], s, p);
+                    push_interior(&mut splits[j], t, p);
                 }
-                match s.intersect(t) {
-                    SegmentIntersection::None => {}
-                    SegmentIntersection::Point(p) => {
-                        push_interior(&mut splits[i], s, p);
-                        push_interior(&mut splits[j], t, p);
-                    }
-                    SegmentIntersection::Overlap(p, q) => {
-                        for r in [p, q] {
-                            push_interior(&mut splits[i], s, r);
-                            push_interior(&mut splits[j], t, r);
-                        }
+                SegmentIntersection::Overlap(p, q) => {
+                    for r in [p, q] {
+                        push_interior(&mut splits[i], s, r);
+                        push_interior(&mut splits[j], t, r);
                     }
                 }
             }
-            // Isolated input points lying in the interior of a segment force a
-            // split there as well. One scratch buffer serves every probe.
-            let mut hits: Vec<usize> = Vec::new();
-            for (p, _) in &self.input.points {
-                let query = BBox::from_points(&[*p]);
-                grid.query_box_into(&query, &mut hits);
-                for &idx in &hits {
-                    if segments[idx].contains_point(p) {
-                        push_interior(&mut splits[idx], &segments[idx], *p);
-                    }
+        }
+        self.split_shared_endpoint_overlaps(&mut splits);
+        // Isolated input points lying in the interior of a segment force a
+        // split there as well. One scratch buffer serves every probe.
+        let mut hits: Vec<usize> = Vec::new();
+        for (p, _) in &input.points {
+            grid.query_box_into(&BBox::from_points(&[*p]), &mut hits);
+            for &k in &hits {
+                if segments[k].contains_point(p) {
+                    push_interior(&mut splits[distinct[k]], &segments[k], *p);
                 }
             }
         }
         splits
     }
 
-    /// Phase 2: intern vertices, split segments, and merge coincident
+    /// Collinear overlaps through a shared endpoint: the distinct segments
+    /// leaving an endpoint along one ray pairwise overlap, and the nearer
+    /// far endpoint of each pair splits the longer segment.
+    fn split_shared_endpoint_overlaps(&self, splits: &mut [Vec<Point>]) {
+        let (segments, index) = (&self.input.segments, &self.endpoints);
+        // The shared point and the far endpoint of a slot `2i + side`.
+        let ends_of = |slot: u32| {
+            let s = &segments[slot as usize / 2].0;
+            if slot % 2 == 0 {
+                (s.a, s.b)
+            } else {
+                (s.b, s.a)
+            }
+        };
+        // Two segments from `origin` along one ray overlap: the nearer far
+        // endpoint splits the longer one. Along a line, lexicographic point
+        // order is distance order from `origin`, rising or falling.
+        let mut split_longer =
+            |origin: Point, (x, far_x): (u32, Point), (y, far_y): (u32, Point)| {
+                let (near, long) =
+                    if (far_x < far_y) == (far_x > origin) { (far_x, y) } else { (far_y, x) };
+                let long = long as usize / 2;
+                push_interior(&mut splits[long], &segments[long].0, near);
+            };
+        let mut incident: Vec<u32> = Vec::new();
+        let mut rays: Vec<(DirectionVector, u32)> = Vec::new();
+        for id in 0..index.len() as u32 {
+            incident.clear();
+            incident.extend(
+                index
+                    .incident(id)
+                    .iter()
+                    .filter(|&&slot| index.rep[slot as usize / 2] == slot as usize / 2),
+            );
+            if let [x, y] = incident[..] {
+                // The common case, one pair: an exact orientation test.
+                let ((origin, far_x), (_, far_y)) = (ends_of(x), ends_of(y));
+                if (far_x > origin) == (far_y > origin)
+                    && orientation(&origin, &far_x, &far_y) == Orientation::Collinear
+                {
+                    split_longer(origin, (x, far_x), (y, far_y));
+                }
+                continue;
+            }
+            if incident.len() < 2 {
+                continue;
+            }
+            // Sorted by direction, the segments along one ray are a run.
+            rays.clear();
+            rays.extend(incident.iter().map(|&slot| {
+                let (from, to) = ends_of(slot);
+                (DirectionVector::between(&from, &to), slot)
+            }));
+            rays.sort_unstable_by(|l, r| pseudo_angle_cmp(&l.0, &r.0));
+            let mut run = 0;
+            for end in 1..=rays.len() {
+                if end < rays.len() && pseudo_angle_cmp(&rays[run].0, &rays[end].0).is_eq() {
+                    continue;
+                }
+                for x in run..end {
+                    for y in x + 1..end {
+                        let ((origin, far_x), (_, far_y)) =
+                            (ends_of(rays[x].1), ends_of(rays[y].1));
+                        split_longer(origin, (rays[x].1, far_x), (rays[y].1, far_y));
+                    }
+                }
+                run = end;
+            }
+        }
+    }
+
+    /// Phase 2: map split points to vertices and merge coincident
     /// sub-segments into undirected arrangement edges.
-    fn build_edges(&mut self, splits: Vec<Vec<Point>>) -> (Vec<RawEdge>, Vec<VertexId>) {
-        let mut edge_ids: HashMap<(VertexId, VertexId), EdgeId> = HashMap::new();
+    ///
+    /// Vertices and edges are numbered by first occurrence: segments in
+    /// input order, each walked from `a` to `b`, then the isolated points.
+    /// A split point that is an input endpoint maps to its vertex through
+    /// its endpoint id (a segment's own endpoints directly, interior points
+    /// by binary search); only true crossing points and isolated points off
+    /// every endpoint are hashed. A duplicate segment adds its source to its
+    /// representative's edges. An edge is looked up among the edges already
+    /// at the lower-degree end of the new one, so no edge map is kept.
+    fn build_edges(&mut self, mut splits: Vec<Vec<Point>>) -> Edges {
+        let index = &self.endpoints;
+        let mut endpoint_vertex: Vec<VertexId> = vec![VertexId::MAX; index.len()];
+        let mut crossing_vertex: HashMap<Point, VertexId> = HashMap::new();
+        let mut rotations: Vec<Vec<EdgeId>> = Vec::new();
+        let vertices = &mut self.vertices;
+        let mut vertex = |p: Point, id: Option<u32>, rotations: &mut Vec<Vec<EdgeId>>| {
+            let slot = match id {
+                Some(id) => &mut endpoint_vertex[id as usize],
+                None => crossing_vertex.entry(p).or_insert(VertexId::MAX),
+            };
+            if *slot == VertexId::MAX {
+                *slot = vertices.len();
+                vertices.push(p);
+                rotations.push(Vec::new());
+            }
+            *slot
+        };
         let mut edges: Vec<RawEdge> = Vec::new();
-        for ((segment, source), mut points) in self.input.segments.iter().zip(splits) {
+        let mut dirs: Vec<DirectionVector> = Vec::new();
+        // The edges of every distinct segment from `a` to `b`, flat, and
+        // each segment's range in it.
+        let mut chains: Vec<EdgeId> = Vec::new();
+        let mut chain_of: Vec<(usize, usize)> = vec![(0, 0); splits.len()];
+        for (i, ((segment, source), points)) in
+            self.input.segments.iter().zip(&mut splits).enumerate()
+        {
+            let rep = index.rep[i];
+            if rep != i {
+                let (from, to) = chain_of[rep];
+                for &e in &chains[from..to] {
+                    edges[e].2.push(*source);
+                }
+                continue;
+            }
             // Order split points from `a` to `b`. All lie on the segment, and
             // along a line lexicographic point order is the order of the
             // curve parameter, running from `a` when `a < b` and from `b`
@@ -168,51 +321,61 @@ impl<'a> Builder<'a> {
                 points.sort_unstable_by(|p, q| q.cmp(p));
             }
             points.dedup();
-            for pair in points.windows(2) {
-                let u = self.intern(pair[0]);
-                let w = self.intern(pair[1]);
+            let [a_id, b_id] = index.ends[i];
+            let dir = DirectionVector::between(&segment.a, &segment.b);
+            let first = chains.len();
+            let mut u = vertex(segment.a, Some(a_id), &mut rotations);
+            let last = points.len() - 1;
+            for (k, &p) in points.iter().enumerate().skip(1) {
+                let id = if k == last { Some(b_id) } else { index.id_of(&p) };
+                let w = vertex(p, id, &mut rotations);
                 debug_assert_ne!(u, w);
-                let key = (u.min(w), u.max(w));
-                let edge = *edge_ids.entry(key).or_insert_with(|| {
-                    edges.push((key.0, key.1, Vec::new()));
+                let (lo, hi) = (u.min(w), u.max(w));
+                let scan = if rotations[lo].len() <= rotations[hi].len() { lo } else { hi };
+                let existing = rotations[scan].iter().copied().find(|&e| {
+                    let (v1, v2, _) = &edges[e];
+                    (*v1, *v2) == (lo, hi)
+                });
+                let e = existing.unwrap_or_else(|| {
+                    edges.push((lo, hi, Vec::new()));
+                    dirs.push(if lo == u { dir } else { -dir });
+                    rotations[lo].push(edges.len() - 1);
+                    rotations[hi].push(edges.len() - 1);
                     edges.len() - 1
                 });
-                edges[edge].2.push(*source);
+                edges[e].2.push(*source);
+                chains.push(e);
+                u = w;
+            }
+            chain_of[i] = (first, chains.len());
+        }
+        let point_vertices: Vec<VertexId> = self
+            .input
+            .points
+            .iter()
+            .map(|(p, _)| vertex(*p, index.id_of(p), &mut rotations))
+            .collect();
+        Edges { edges, dirs, rotations, point_vertices }
+    }
+
+    /// Phase 3: rotation system. Each slot's outgoing direction is computed
+    /// once, from the edge's input-segment direction, so the sort compares
+    /// small direction vectors and never the difference of two crossing
+    /// points. Positive multiples compare equal under `pseudo_angle_cmp`, so
+    /// the order is that of the edge vectors themselves.
+    fn sort_rotations(edges: &[RawEdge], dirs: &[DirectionVector], rotations: &mut [Vec<EdgeId>]) {
+        let mut slots: Vec<(DirectionVector, EdgeId)> = Vec::new();
+        for (v, rot) in rotations.iter_mut().enumerate() {
+            if rot.len() < 2 {
+                continue;
+            }
+            slots.clear();
+            slots.extend(rot.iter().map(|&e| (outgoing(edges, dirs, e, v), e)));
+            slots.sort_unstable_by(|l, r| pseudo_angle_cmp(&l.0, &r.0));
+            for (r, &(_, e)) in rot.iter_mut().zip(&slots) {
+                *r = e;
             }
         }
-        let point_vertices: Vec<VertexId> =
-            self.input.points.iter().map(|(p, _)| self.intern(*p)).collect();
-        (edges, point_vertices)
-    }
-
-    /// Phase 3: rotation system.
-    fn build_rotations(&self, edges: &[(VertexId, VertexId, Vec<u32>)]) -> Vec<Vec<EdgeId>> {
-        let mut rotations: Vec<Vec<EdgeId>> = vec![Vec::new(); self.vertices.len()];
-        for (e, (v1, v2, _)) in edges.iter().enumerate() {
-            rotations[*v1].push(e);
-            rotations[*v2].push(e);
-        }
-        for (v, rot) in rotations.iter_mut().enumerate() {
-            let origin = self.vertices[v];
-            rot.sort_by(|&e1, &e2| {
-                let d1 = self.outgoing_direction(edges, e1, v, origin);
-                let d2 = self.outgoing_direction(edges, e2, v, origin);
-                pseudo_angle_cmp(&d1, &d2)
-            });
-        }
-        rotations
-    }
-
-    fn outgoing_direction(
-        &self,
-        edges: &[(VertexId, VertexId, Vec<u32>)],
-        e: EdgeId,
-        v: VertexId,
-        origin: Point,
-    ) -> DirectionVector {
-        let (v1, v2, _) = &edges[e];
-        let other = if *v1 == v { *v2 } else { *v1 };
-        DirectionVector::between(&origin, &self.vertices[other])
     }
 
     /// Phase 4a: half-edge `next` pointers and cycle tracing.
@@ -223,7 +386,7 @@ impl<'a> Builder<'a> {
         &self,
         edges: &[(VertexId, VertexId, Vec<u32>)],
         rotations: &[Vec<EdgeId>],
-    ) -> (Vec<usize>, Vec<usize>, usize) {
+    ) -> (Vec<usize>, usize) {
         let half_count = edges.len() * 2;
         let origin = |h: usize| -> VertexId {
             let (v1, v2, _) = &edges[h / 2];
@@ -272,17 +435,16 @@ impl<'a> Builder<'a> {
             }
             cycle_count += 1;
         }
-        (next, cycle_of, cycle_count)
+        (cycle_of, cycle_count)
     }
 
     /// Phases 4b–6: components, outer contours, faces, nesting, assembly.
-    #[allow(clippy::too_many_arguments)]
     fn assemble_faces(
         &mut self,
         edges: Vec<RawEdge>,
+        dirs: &[DirectionVector],
         rotations: Vec<Vec<EdgeId>>,
         point_vertices: Vec<VertexId>,
-        _next: &[usize],
         cycle_of: &[usize],
         cycle_count: usize,
     ) -> Arrangement {
@@ -318,17 +480,18 @@ impl<'a> Builder<'a> {
             }
         }
         // Component representative -> component index; minimal vertex per component.
-        let mut comp_index: HashMap<usize, usize> = HashMap::new();
+        let mut comp_index: Vec<usize> = vec![usize::MAX; n];
         let mut comp_min_vertex: Vec<VertexId> = Vec::new();
         for (v, rot) in rotations.iter().enumerate().take(n) {
             if rot.is_empty() {
                 continue;
             }
             let root = find(&mut parent, v);
-            let idx = *comp_index.entry(root).or_insert_with(|| {
+            if comp_index[root] == usize::MAX {
+                comp_index[root] = comp_min_vertex.len();
                 comp_min_vertex.push(v);
-                comp_min_vertex.len() - 1
-            });
+            }
+            let idx = comp_index[root];
             if self.vertices[v] < self.vertices[comp_min_vertex[idx]] {
                 comp_min_vertex[idx] = v;
             }
@@ -342,7 +505,7 @@ impl<'a> Builder<'a> {
             debug_assert!(!rot.is_empty());
             let mut best: Option<(bool, DirectionVector, EdgeId)> = None;
             for &e in rot {
-                let d = self.outgoing_direction(&edges, e, v, self.vertices[v]);
+                let d = outgoing(&edges, dirs, e, v);
                 // `v` is the lexicographic minimum of its component, so no
                 // outgoing edge points left or straight down.
                 let upper_half = d.dy.signum() > 0 || (d.dy.is_zero() && d.dx.signum() > 0);
@@ -411,7 +574,7 @@ impl<'a> Builder<'a> {
                         directed: Vec::new(),
                         bbox: (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
                     });
-                    cycle_comp.push(comp_index[&find(&mut parent, u)]);
+                    cycle_comp.push(comp_index[find(&mut parent, u)]);
                     cycle_face.push(face);
                 }
                 let geometry = &mut cycles[slot_of_cycle[cycle]];
@@ -446,19 +609,6 @@ impl<'a> Builder<'a> {
             face_of_cycle[cycle] = Some(parent_face_of_comp[c]);
         }
 
-        // Edge incidences and face boundaries.
-        let mut arr_edges: Vec<ArrEdge> = Vec::with_capacity(edges.len());
-        for (e, (v1, v2, sources)) in edges.iter().enumerate() {
-            let face_left = face_of_cycle[cycle_of[2 * e]].unwrap();
-            let face_right = face_of_cycle[cycle_of[2 * e + 1]].unwrap();
-            arr_edges.push(ArrEdge {
-                v1: *v1,
-                v2: *v2,
-                sources: sources.clone(),
-                face_left,
-                face_right,
-            });
-        }
         // Face boundaries accumulate on flat vectors and deduplicate with
         // sort + dedup; the boundary lists come out sorted as before.
         let mut face_edge_lists: Vec<Vec<EdgeId>> = vec![Vec::new(); faces.len()];
@@ -481,6 +631,18 @@ impl<'a> Builder<'a> {
             face.boundary_edges = es;
             face.boundary_vertices = vs;
         }
+        // Edge incidences, moving each edge's sources into place.
+        let arr_edges: Vec<ArrEdge> = edges
+            .into_iter()
+            .enumerate()
+            .map(|(e, (v1, v2, sources))| ArrEdge {
+                v1,
+                v2,
+                sources,
+                face_left: face_of_cycle[cycle_of[2 * e]].unwrap(),
+                face_right: face_of_cycle[cycle_of[2 * e + 1]].unwrap(),
+            })
+            .collect();
 
         Arrangement {
             vertices: std::mem::take(&mut self.vertices),
@@ -491,18 +653,6 @@ impl<'a> Builder<'a> {
             isolated,
             point_vertices,
         }
-    }
-}
-
-/// If `s` and `t` share an input endpoint, the endpoint of `t` that is not
-/// the shared one (for identical or reversed segments, either endpoint).
-fn far_endpoint_if_shared(s: &Segment, t: &Segment) -> Option<Point> {
-    if t.a == s.a || t.a == s.b {
-        Some(t.b)
-    } else if t.b == s.a || t.b == s.b {
-        Some(t.a)
-    } else {
-        None
     }
 }
 
@@ -777,6 +927,22 @@ mod tests {
             arr.vertices[shared.v1].x.min(arr.vertices[shared.v2].x),
             topo_geometry::Rational::from_int(4)
         );
+    }
+
+    #[test]
+    fn generic_crossings_at_survey_extents_build() {
+        // Three pairwise-crossing segments with generic endpoints near ±2³⁰
+        // and ±2⁴⁰. Their crossing points have denominators near 2⁸², so
+        // the difference of two of them overflows `i128` products; edge
+        // directions come from the integer input segments instead.
+        let (m, k) = (1i64 << 40, 1i64 << 30);
+        let mut input = ArrangementInput::new();
+        input.add_segment(seg(-m + 17, -k + 5, m - 3, k + 11), 0);
+        input.add_segment(seg(-m + 7, k - 13, m + 19, -k - 1), 1);
+        input.add_segment(seg(-k + 3, -m + 23, k - 29, m + 1), 2);
+        let arr = build_arrangement(&input);
+        assert_eq!((arr.vertex_count(), arr.edge_count(), arr.face_count()), (9, 9, 2));
+        assert!(arr.validate().is_ok(), "{:?}", arr.validate());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 mod build;
 mod containment;
+mod endpoints;
 #[cfg(any(test, feature = "naive-reference"))]
 pub mod naive;
 

@@ -44,11 +44,16 @@ use topo_core::{
     MaintainedInvariant, MemoryBackend, Region, Semantics, SpatialInstance, StoreConfig,
     TopologicalInvariant, TopologicalQuery,
 };
-use topo_datagen::{figure1, ign_city, nested_rings, sequoia_hydro, sequoia_landcover, Scale};
+use topo_datagen::{
+    figure1, ign_city, nested_rings, sequoia_hydro, sequoia_landcover, star, Scale,
+};
 
 const FULL_SAMPLES: usize = 15;
 const QUICK_SAMPLES: usize = 5;
 const GRIDS: [usize; 3] = [8, 16, 28];
+/// Spoke counts of the high-degree `star` rows (construction only: one hub
+/// vertex meets every spoke).
+const STAR_SPOKES: [usize; 3] = [256, 1024, 2048];
 /// Scales for the datalog and demand stages: the naive engine's
 /// connectivity cost grows with `|region cells|² × |adjacency|`, so its
 /// tractable range ends far below the construction scales.
@@ -198,7 +203,8 @@ fn measure_canonical(at: &mut At, instance: &SpatialInstance, cells: usize, ctx:
 /// timed in isolation (its inputs are prepared untimed), so the medians are
 /// genuinely per-stage; `top` is the end-to-end total. `splits` is
 /// arrangement phase 1 (`compute_split_points`) alone, a part of
-/// `arrangement`.
+/// `arrangement`. The `star` rows (scale = spoke count) time construction
+/// alone.
 fn measure_construction(rows: &mut Rows, ctx: &Ctx) {
     let samples = ctx.samples;
     for (name, gen) in WORKLOADS {
@@ -250,6 +256,21 @@ fn measure_construction(rows: &mut Rows, ctx: &Ctx) {
             at.count("giant_surviving_choices", giant.giant_surviving_choices as u64);
             measure_canonical(&mut at, &instance, cells, ctx);
         }
+    }
+    // The high-degree worst case: every spoke of a star meets every other at
+    // the hub. Construction only; the reference builders test every spoke
+    // pair and its canonicalisation is not the subject here.
+    for n in STAR_SPOKES {
+        let instance = star(n);
+        let mut at = rows.at("star", n);
+        let input = instance.to_arrangement_input();
+        let splits_ns = median_ns(samples, || topo_core::arrangement::compute_split_points(&input));
+        at.ns("splits", splits_ns, samples);
+        let arrangement_ns =
+            median_ns(samples, || topo_core::arrangement::build_arrangement(&input));
+        at.ns("arrangement", arrangement_ns, samples);
+        at.ns("top", median_ns(samples, || topo_core::top(&instance)), samples);
+        at.count("cells", topo_core::top(&instance).cell_count() as u64);
     }
 }
 

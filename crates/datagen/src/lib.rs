@@ -268,6 +268,34 @@ pub fn figure1() -> SpatialInstance {
     SpatialInstance::from_regions([("P", p), ("Q", q), ("R", r)])
 }
 
+/// The high-degree worst case: a convex `n`-gon rim region (`n ≥ 3`) plus,
+/// as a second region, `n` spokes from the rim's corners to its centre.
+///
+/// All spokes meet at the hub and nowhere else, so an arrangement builder
+/// that tests every pair of segments near the hub does `n(n-1)/2` tests for
+/// no crossing at all. The corners are a regular `n`-gon of radius
+/// `max(2²⁰, n²)` rounded to integers; the radius keeps the distance of each
+/// corner from the chord of its neighbours above 19 units, so rounding by
+/// under one unit leaves the rim strictly convex.
+pub fn star(n: usize) -> SpatialInstance {
+    let n = n.max(3);
+    let radius = (1i64 << 20).max((n * n) as i64) as f64;
+    let rim: Vec<Point> = (0..n)
+        .map(|k| {
+            let angle = k as f64 / n as f64 * std::f64::consts::TAU;
+            Point::from_ints(
+                (radius * angle.cos()).round() as i64,
+                (radius * angle.sin()).round() as i64,
+            )
+        })
+        .collect();
+    let mut spokes = Region::new();
+    for &corner in &rim {
+        spokes.add_polyline(vec![corner, Point::origin()]);
+    }
+    SpatialInstance::from_regions([("rim", Region::polygon(rim)), ("spokes", spokes)])
+}
+
 fn rectangle_ring(x0: i64, y0: i64, width: i64, height: i64) -> Vec<Point> {
     vec![
         Point::from_ints(x0, y0),
@@ -348,6 +376,22 @@ mod tests {
         let deep = nested_rings(5, 1);
         assert!(deep.point_count() > shallow.point_count());
         assert_eq!(scattered_islands(6).polygon_count(), 6);
+    }
+
+    #[test]
+    fn star_rim_is_strictly_convex() {
+        for n in [3, 64, 2048, 100_000] {
+            let instance = star(n);
+            let rim = &instance.region_by_name("rim").unwrap().rings[0];
+            assert_eq!(rim.len(), n);
+            let int = |p: &Point| (p.x.as_integer().unwrap(), p.y.as_integer().unwrap());
+            for k in 0..n {
+                let (a, b, c) = (int(&rim[k]), int(&rim[(k + 1) % n]), int(&rim[(k + 2) % n]));
+                let turn = (b.0 - a.0) * (c.1 - a.1) - (b.1 - a.1) * (c.0 - a.0);
+                assert!(turn > 0, "n = {n}: corner {} is not a strict left turn", k + 1);
+            }
+            assert_eq!(instance.region_by_name("spokes").unwrap().polylines.len(), n);
+        }
     }
 
     #[test]

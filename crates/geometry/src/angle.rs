@@ -9,6 +9,7 @@
 use crate::point::Point;
 use crate::rational::Rational;
 use std::cmp::Ordering;
+use std::ops::Neg;
 
 /// A non-zero direction vector with exact rational components.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,6 +52,15 @@ impl DirectionVector {
     /// Cross product with another direction.
     pub fn cross(&self, other: &DirectionVector) -> Rational {
         self.dx * other.dy - self.dy * other.dx
+    }
+}
+
+impl Neg for DirectionVector {
+    type Output = DirectionVector;
+
+    /// The opposite direction.
+    fn neg(self) -> DirectionVector {
+        DirectionVector { dx: -self.dx, dy: -self.dy }
     }
 }
 
@@ -106,6 +116,12 @@ mod tests {
     fn positive_multiples_equal() {
         assert_eq!(pseudo_angle_cmp(&dir(1, 2), &dir(2, 4)), Ordering::Equal);
         assert_ne!(pseudo_angle_cmp(&dir(1, 2), &dir(-1, -2)), Ordering::Equal);
+    }
+
+    #[test]
+    fn negation_is_half_a_turn() {
+        assert_eq!(-dir(2, -3), dir(-2, 3));
+        assert_eq!(pseudo_angle_cmp(&-dir(1, 0), &dir(-5, 0)), Ordering::Equal);
     }
 
     #[test]

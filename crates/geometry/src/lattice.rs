@@ -128,10 +128,8 @@ impl BoxLattice {
     /// Cell-index range covered by a box, clamped to the lattice bounds so
     /// queries far outside the data never walk an unbounded range.
     fn cell_range(&self, (x0, y0, x1, y1): F64Box) -> (i64, i64, i64, i64) {
-        let cx =
-            |v: f64| (((v - self.min_x) / self.cell_size).floor() as i64).clamp(0, self.nx - 1);
-        let cy =
-            |v: f64| (((v - self.min_y) / self.cell_size).floor() as i64).clamp(0, self.ny - 1);
+        let cx = |v: f64| cell_index((v - self.min_x) / self.cell_size, self.nx);
+        let cy = |v: f64| cell_index((v - self.min_y) / self.cell_size, self.ny);
         (cx(x0), cy(y0), cx(x1), cy(y1))
     }
 
@@ -184,9 +182,51 @@ impl BoxLattice {
     }
 }
 
+/// The cell index of a lattice coordinate `t`, clamped to `0..n`.
+///
+/// A truncating cast replaces `f64::floor` (a libm call on baseline x86-64)
+/// with the same result after the clamp: the two differ only on negative
+/// non-integers, which both clamp to 0, and the saturating cast maps NaN to
+/// 0 and ±∞ to the `i64` limits either way.
+fn cell_index(t: f64, n: i64) -> i64 {
+    (t as i64).clamp(0, n - 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cell_index_matches_the_floor_formula() {
+        let two53 = 9_007_199_254_740_992.0f64;
+        let probes = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            -1.5,
+            3.999_999,
+            4.0,
+            1e300,
+            -1e300,
+            two53 - 1.0,
+            two53 + 2.0,
+            -two53 - 2.0,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        for n in [1, 7, 2048] {
+            for t in probes {
+                assert_eq!(cell_index(t, n), (t.floor() as i64).clamp(0, n - 1), "{t} in {n}");
+            }
+        }
+    }
 
     fn unit_box(x: f64, y: f64) -> F64Box {
         (x, y, x + 1.0, y + 1.0)

@@ -235,8 +235,26 @@ impl Rational {
 
     /// Approximate `f64` value (only used for pruning structures and reports,
     /// never for topological decisions).
+    ///
+    /// An integer that fits `i64` converts through `i64`, a single hardware
+    /// conversion instead of the software `i128` one and a division. Both
+    /// conversions round the same exact integer to nearest, ties to even, and
+    /// dividing by `1.0` is exact, so the value is bit-identical to
+    /// `num as f64 / den as f64`.
     pub fn to_f64(&self) -> f64 {
+        if self.den == 1 {
+            if let Ok(n) = i64::try_from(self.num) {
+                return n as f64;
+            }
+        }
         self.num as f64 / self.den as f64
+    }
+
+    /// True iff [`Rational::to_f64`] is exact: the numerator has at most 53
+    /// significant bits and the denominator is a power of two, so the
+    /// quotient is a shift of an exactly converted integer.
+    pub fn is_f64_exact(&self) -> bool {
+        self.num.unsigned_abs() <= 1 << 53 && (self.den as u128).is_power_of_two()
     }
 
     /// The arithmetic mean of `self` and `other`.
@@ -509,6 +527,42 @@ impl From<i32> for Rational {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn to_f64_integer_path_matches_the_division() {
+        let two53 = 1i128 << 53;
+        let probes = [
+            0,
+            1,
+            -1,
+            two53 - 1,
+            two53,
+            two53 + 1,
+            -two53 - 1,
+            -two53 + 1,
+            (1 << 62) + 3,
+            i64::MAX as i128,
+            i64::MIN as i128,
+            i64::MAX as i128 + 1,
+            i64::MIN as i128 - 1,
+            i128::MAX,
+            i128::MIN + 1,
+        ];
+        for n in probes {
+            let r = Rational { num: n, den: 1 };
+            let old = r.num as f64 / r.den as f64;
+            assert_eq!(r.to_f64().to_bits(), old.to_bits(), "{n}");
+            assert_eq!(r.is_f64_exact(), n.unsigned_abs() <= 1 << 53, "{n}");
+        }
+        assert!(Rational::new(3, 2).is_f64_exact());
+        assert!(Rational::new(-(1 << 53), 1 << 100).is_f64_exact());
+        assert!(!Rational::new(1, 3).is_f64_exact());
+        assert!(!Rational::new((1 << 53) + 1, 2).is_f64_exact());
+        for (n, d) in [(1, 3), (-7, 2), ((1 << 53) + 1, 1 << 20)] {
+            let r = Rational::new(n, d);
+            assert_eq!(r.to_f64().to_bits(), (r.num as f64 / r.den as f64).to_bits());
+        }
+    }
 
     #[test]
     fn canonical_form() {

@@ -17,7 +17,8 @@ use topo_core::arrangement::{
 };
 use topo_core::{top, top_naive, Region, SpatialInstance};
 use topo_datagen::{
-    figure1, ign_city, nested_rings, scattered_islands, sequoia_hydro, sequoia_landcover, Scale,
+    figure1, ign_city, nested_rings, scattered_islands, sequoia_hydro, sequoia_landcover, star,
+    Scale,
 };
 use topo_geometry::{Point, Rational, Segment};
 
@@ -135,6 +136,41 @@ fn overlap_sharing_an_endpoint_is_split() {
     let arrangement = build_arrangement(&input);
     assert_eq!(arrangement.vertices.len(), 3);
     assert_eq!(arrangement.edges.len(), 2);
+}
+
+#[test]
+fn star_matches_the_references() {
+    // A hub where every spoke meets every other: the builder pairs none of
+    // them, and still matches the references that test every pair.
+    for n in [3, 4, 7, 16, 64] {
+        let instance = star(n);
+        assert_builders_agree(&instance.to_arrangement_input(), &format!("star({n})"));
+        assert_pipelines_agree(&instance, &format!("star({n})"));
+    }
+}
+
+#[test]
+fn collinear_runs_through_shared_endpoints_are_split() {
+    // Three segments along one ray from the origin (one of them twice, once
+    // reversed), two along the opposite ray, and one more chained on at the
+    // far end: every shorter one's far end splits each longer one.
+    let p = Point::from_ints;
+    let mut input = ArrangementInput::new();
+    for (a, b) in [
+        (p(0, 0), p(6, 3)),
+        (p(2, 1), p(0, 0)),
+        (p(0, 0), p(4, 2)),
+        (p(0, 0), p(2, 1)),
+        (p(0, 0), p(-4, -2)),
+        (p(-2, -1), p(0, 0)),
+        (p(6, 3), p(4, 2)),
+        (p(0, 0), p(0, 5)),
+    ] {
+        input.add_segment(Segment::new(a, b), input.segments.len() as u32 % 3);
+    }
+    assert_builders_agree(&input, "collinear runs");
+    let arrangement = build_arrangement(&input);
+    assert_eq!((arrangement.vertices.len(), arrangement.edges.len()), (7, 6));
 }
 
 /// One generated piece of a segment soup: a segment on a 6 × 6 lattice, and
