@@ -84,6 +84,14 @@ const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// largest construction scale, smaller in quick mode.
 const PARALLEL_GRID: usize = 28;
 const PARALLEL_GRID_QUICK: usize = 12;
+/// The bulk round whose WAL the recovery and parallel stages replay:
+/// `BULK_ROUND_DISTINCT` landcover, hydro and city maps round-robin at
+/// grids 12 to 16, plus `BULK_ROUND_COPIES` homeomorphic copies of some of
+/// them, ingested in batches of `BULK_ROUND_BATCH` (a few MB of log).
+const BULK_ROUND_GRIDS: [usize; 5] = [12, 13, 14, 15, 16];
+const BULK_ROUND_DISTINCT: usize = 48;
+const BULK_ROUND_COPIES: usize = 16;
+const BULK_ROUND_BATCH: usize = 16;
 /// Scales for the incremental-maintenance stage: a small grid where full
 /// rebuilds are cheap (the honest case for incremental repair) and a medium
 /// grid where they are not.
@@ -527,13 +535,12 @@ fn persist_workload(copies: usize) -> Vec<Arc<TopologicalInvariant>> {
 /// throughput), checkpoint (snapshot write), snapshot-only recovery
 /// (snapshot load + decode) and a mixed snapshot + WAL recovery — all on
 /// the in-memory backend, so the medium costs nothing and the format and
-/// replay machinery are what is timed.
+/// replay machinery are what is timed. These logs hold kilobytes and replay
+/// on the sequential path; a last row replays a bulk round's MB-scale log,
+/// whose records decode across the pool.
 fn measure_persist(rows: &mut Rows, ctx: &Ctx) {
     let copies_list: [usize; 3] = if ctx.quick { [2, 4, 8] } else { [4, 10, 24] };
     let samples = if ctx.quick { 3 } else { 7 };
-    let recover = |backend: &Arc<MemoryBackend>| {
-        InvariantStore::open(StoreConfig::default(), backend.clone()).expect("recovery")
-    };
     for copies in copies_list {
         let invariants = persist_workload(copies);
         let mut at = rows.at("persist_mix", copies);
@@ -559,7 +566,7 @@ fn measure_persist(rows: &mut Rows, ctx: &Ctx) {
         at.push("wal_bytes", Some(backend.wal_bytes().len() as f64), "bytes", 1);
 
         // WAL-only recovery: replay every record from an empty base state.
-        at.ns("wal_replay", median_ns(samples, || recover(&backend)), samples);
+        at.ns("wal_replay", recover_ns(&backend, samples), samples);
 
         // Checkpoint: encode + write the snapshot (the first call also
         // resets the WAL; later samples re-write the same state).
@@ -569,24 +576,63 @@ fn measure_persist(rows: &mut Rows, ctx: &Ctx) {
         at.push("snapshot_bytes", Some(snapshot_bytes as f64), "bytes", 1);
 
         // Snapshot-only recovery (the WAL is empty after the checkpoint).
-        at.ns("snapshot_load", median_ns(samples, || recover(&backend)), samples);
+        at.ns("snapshot_load", recover_ns(&backend, samples), samples);
 
         // Mixed recovery: a second generation of ingests (all dedup hits)
         // lands in the fresh WAL on top of the snapshot.
         for invariant in &invariants {
             store.ingest_invariant(invariant.clone());
         }
-        at.ns("mixed_recover", median_ns(samples, || recover(&backend)), samples);
+        at.ns("mixed_recover", recover_ns(&backend, samples), samples);
         at.count("instances", store.instance_count() as u64);
         at.count("classes", store.class_count() as u64);
     }
+
+    // WAL-only recovery of an MB-scale log, large enough for replay to
+    // decode its records across the pool.
+    let (backend, instances) = bulk_round_backend();
+    let mut at = rows.at("bulk_round", instances);
+    at.push("wal_bytes", Some(backend.wal_bytes().len() as f64), "bytes", 1);
+    at.ns("wal_replay", recover_ns(&backend, samples), samples);
+}
+
+/// A persistent store's backend after one bulk round (see
+/// [`BULK_ROUND_DISTINCT`]): every record is in the WAL, none in a snapshot.
+/// Returns the backend and the number of instances ingested.
+fn bulk_round_backend() -> (Arc<MemoryBackend>, usize) {
+    let mut round: Vec<SpatialInstance> = (0..BULK_ROUND_DISTINCT)
+        .map(|i| {
+            let grid = BULK_ROUND_GRIDS[(i / 3) % BULK_ROUND_GRIDS.len()];
+            WORKLOADS[i % 3].1(Scale { grid }, SEED + i as u64)
+        })
+        .collect();
+    for k in 0..BULK_ROUND_COPIES {
+        let map = AffineMap::translation(k as i64 * 130_001, -(k as i64) * 70_003);
+        let map = if k % 2 == 1 { AffineMap::rotation90().compose(&map) } else { map };
+        round.push(map.apply_instance(&round[(k * 7) % BULK_ROUND_DISTINCT]));
+    }
+    let backend = MemoryBackend::new();
+    let store =
+        InvariantStore::open(StoreConfig::default(), backend.clone()).expect("open empty store");
+    for batch in round.chunks(BULK_ROUND_BATCH) {
+        store.ingest_batch(batch);
+    }
+    (backend, round.len())
+}
+
+/// Median time to recover a store from `backend`, at the current pool size.
+fn recover_ns(backend: &Arc<MemoryBackend>, samples: usize) -> u128 {
+    median_ns(samples, || {
+        InvariantStore::open(StoreConfig::default(), backend.clone()).expect("recovery")
+    })
 }
 
 /// Sweeps the in-tree thread pool over [`PARALLEL_THREADS`], measuring the
-/// batched store ingest — the one path that fans out, per instance — at each
-/// pool size. The end-to-end `top(I)` build and a cold canonicalisation of
-/// the hydro workload are sequential at every pool size, so they are timed
-/// once, at pool 1, as the single-instance reference. The pool size is set
+/// two paths that fan out at each pool size: the batched store ingest (per
+/// instance) and the WAL replay of a bulk round (per record). The
+/// end-to-end `top(I)` build and a cold canonicalisation of the hydro
+/// workload are sequential at every pool size, so they are timed once, at
+/// pool 1, as the single-instance reference. The pool size is set
 /// via `topo_parallel::set_global_threads` — the same switch `TOPO_THREADS`
 /// feeds — and restored afterwards, so each row's `pool_threads` is the size
 /// it was measured at. On a host with fewer cores than the sweep asks for,
@@ -623,6 +669,12 @@ fn measure_parallel(rows: &mut Rows, ctx: &Ctx) {
             store
         });
         at.ns("batch_ingest", batch_ingest_ns, samples);
+    }
+    let (backend, instances) = bulk_round_backend();
+    let mut at = rows.at("bulk_round", instances);
+    for threads in PARALLEL_THREADS {
+        topo_core::parallel::set_global_threads(threads);
+        at.ns("wal_replay", recover_ns(&backend, samples), samples);
     }
     topo_core::parallel::set_global_threads(previous);
 }

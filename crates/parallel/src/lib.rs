@@ -4,10 +4,11 @@
 //! one rayon-style primitive the system needs, on [`std::thread::scope`]
 //! alone and entirely in safe Rust: [`Pool::par_map_collect`], a per-item
 //! map with the output in item order, bit-identical to
-//! `items.iter().map(f).collect()` by construction. Its one library caller
-//! is the store's batch ingest, which builds and canonicalises independent
-//! instances; construction and canonicalisation of a single instance are
-//! sequential.
+//! `items.iter().map(f).collect()` by construction. Its library callers are
+//! in the store: batch ingest, which builds and canonicalises independent
+//! instances, and WAL replay, which checks and decodes a window of records
+//! before applying them in log order. Construction and canonicalisation of
+//! a single instance are sequential.
 //!
 //! There is no work stealing and no persistent worker state: every call
 //! spawns scoped threads that pull contiguous chunk indices from one atomic
@@ -24,8 +25,9 @@
 //!
 //! **Nesting.** A task running on the pool that calls back into the pool
 //! runs sequentially (a thread-local in-pool flag). So a caller whose own
-//! pool task calls the store's batch ingest gets a sequential batch instead
-//! of spawning a second layer of threads and oversubscribing the machine.
+//! pool task calls the store's batch ingest, or opens a store, gets a
+//! sequential map instead of spawning a second layer of threads and
+//! oversubscribing the machine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -55,6 +55,17 @@
 //! is exactly the property the fault-injection suite checks recovered
 //! stores against.
 //!
+//! A WAL of 64 KiB or more replays in windows of frames: a sequential pass
+//! splits a window off by frame lengths alone, the global pool
+//! ([`topo_parallel::Pool`]) checks each frame's checksum and decodes it,
+//! one record per task, and the window's records are then applied strictly
+//! in log order before the next window is split. Decoding is pure, so the
+//! outcome is the sequential loop's at every pool size: the first frame
+//! that is torn or fails its checksum ends the replay (records decoded
+//! after it are dropped, never applied), and the first record in log order
+//! that does not decode or apply is the error. Shorter logs, and every log
+//! at pool size 1, replay one frame at a time on the calling thread.
+//!
 //! Both decoders apply what they read through the checked transitions the
 //! live operations use (`tables.rs`), so checksum-valid bytes that no
 //! operation history writes are a [`PersistError::Corrupt`], never a panic:
@@ -83,6 +94,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use topo_invariant::{CodeHash, InvariantParts, TopologicalInvariant};
+use topo_parallel::Pool;
 use topo_spatial::Schema;
 
 use crate::tables::{Attach, Refused, Tables};
@@ -92,6 +104,19 @@ use crate::{read_recover, ClassId, Counters, InstanceId, InvariantStore, StoreCo
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 /// Current snapshot/WAL format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// WALs shorter than this replay one frame at a time on the calling thread,
+/// as does every WAL at pool size 1. Replay costs about 6 µs per KiB of log
+/// on one core; forced onto a pool of 2 on a 2-thread VM, a 22 KiB log
+/// opened in 182 µs against 156 µs sequentially, a 51 KiB log in 311
+/// against 352 µs, and a 103 KiB log in 556 against 844 µs.
+const PARALLEL_REPLAY_MIN_BYTES: usize = 64 * 1024;
+
+/// Frames per pool thread in one replay window of a longer WAL. A window is
+/// decoded across the pool and applied before the next is split off, so at
+/// most one window of decoded records is held beside the tables. With one
+/// frame per thread the spawns per window cost more than the decode saves.
+const REPLAY_FRAMES_PER_THREAD: usize = 16;
 
 pub(crate) const TAG_INGEST: u8 = 0x01;
 const TAG_REMOVE: u8 = 0x02;
@@ -430,15 +455,20 @@ impl<'a> Dec<'a> {
 
 /// Result of pulling one frame off a byte stream.
 enum Frame<'a> {
-    /// A complete, checksum-valid payload plus the remaining stream.
+    /// A complete frame plus the remaining stream: from [`next_frame`] the
+    /// checksum-valid payload, from [`split_frame`] the payload with its
+    /// four checksum bytes, not yet compared.
     Ok(&'a [u8], &'a [u8]),
     /// The stream is exhausted.
     End,
-    /// The tail is torn or corrupt (incomplete frame or bad checksum).
+    /// The tail is torn or corrupt (incomplete frame, or from
+    /// [`next_frame`] a bad checksum).
     Torn,
 }
 
-fn next_frame(stream: &[u8]) -> Frame<'_> {
+/// Splits one frame off `stream` by its length field alone, leaving the
+/// checksum to [`checked_payload`].
+fn split_frame(stream: &[u8]) -> Frame<'_> {
     if stream.is_empty() {
         return Frame::End;
     }
@@ -450,12 +480,24 @@ fn next_frame(stream: &[u8]) -> Frame<'_> {
     if stream.len() < total {
         return Frame::Torn;
     }
-    let payload = &stream[4..4 + len];
-    let stored = u32::from_le_bytes(stream[4 + len..total].try_into().unwrap());
-    if crc32(payload) != stored {
-        return Frame::Torn;
+    Frame::Ok(&stream[4..total], &stream[total..])
+}
+
+/// The payload of a frame [`split_frame`] split off, if it matches the
+/// checksum stored after it.
+fn checked_payload(frame: &[u8]) -> Option<&[u8]> {
+    let (payload, stored) = frame.split_at(frame.len() - 4);
+    (crc32(payload) == u32::from_le_bytes(stored.try_into().unwrap())).then_some(payload)
+}
+
+fn next_frame(stream: &[u8]) -> Frame<'_> {
+    match split_frame(stream) {
+        Frame::Ok(frame, rest) => match checked_payload(frame) {
+            Some(payload) => Frame::Ok(payload, rest),
+            None => Frame::Torn,
+        },
+        end_or_torn => end_or_torn,
     }
-    Frame::Ok(payload, &stream[total..])
 }
 
 // ---------------------------------------------------------------------------
@@ -675,26 +717,7 @@ impl InvariantStore {
         let snapshot_seq = next_seq;
 
         let wal = backend.read_wal()?;
-        let mut stream: &[u8] = &wal;
-        loop {
-            match next_frame(stream) {
-                Frame::End => break,
-                Frame::Torn => {
-                    store.counters.wal_truncations.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Frame::Ok(payload, rest) => {
-                    stream = rest;
-                    apply_wal_record(
-                        payload,
-                        snapshot_seq,
-                        &mut next_seq,
-                        &mut tables,
-                        &store.counters,
-                    )?;
-                }
-            }
-        }
+        replay_wal(&wal, snapshot_seq, &mut next_seq, &mut tables, &store.counters)?;
 
         store.tables = std::sync::RwLock::new(tables);
         store.persistence = Some(Persistence {
@@ -925,17 +948,74 @@ fn decode_wal_record(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
     Ok((seq, record))
 }
 
-/// Applies one checksum-valid WAL payload to the recovering tables; records
-/// predating the snapshot seq are skipped (a crash landed between snapshot
-/// write and WAL reset, so they are already folded in).
-fn apply_wal_record(
-    payload: &[u8],
+/// Replays a WAL onto the recovering tables one window of frames at a time:
+/// a sequential pass splits the window off by frame lengths, the pool
+/// checks and decodes its frames one per task, and the records are applied
+/// in log order. The first frame that is incomplete or fails its checksum
+/// is a torn tail: replay stops there, and nothing after it is applied. The
+/// first record in log order that does not decode or apply is the error.
+fn replay_wal(
+    wal: &[u8],
     snapshot_seq: u64,
     next_seq: &mut u64,
     tables: &mut Tables,
     counters: &Counters,
 ) -> Result<(), PersistError> {
-    let (seq, record) = decode_wal_record(payload)?;
+    let pool = Pool::global();
+    let window = if pool.threads() > 1 && wal.len() >= PARALLEL_REPLAY_MIN_BYTES {
+        REPLAY_FRAMES_PER_THREAD * pool.threads()
+    } else {
+        1
+    };
+    let mut stream = wal;
+    let mut frames = Vec::with_capacity(window);
+    loop {
+        frames.clear();
+        let mut torn = false;
+        while frames.len() < window {
+            match split_frame(stream) {
+                Frame::Ok(frame, rest) => {
+                    frames.push(frame);
+                    stream = rest;
+                }
+                Frame::End => break,
+                Frame::Torn => {
+                    torn = true;
+                    break;
+                }
+            }
+        }
+        let decoded =
+            pool.par_map_collect(&frames, |frame| checked_payload(frame).map(decode_wal_record));
+        for record in decoded {
+            let Some(record) = record else {
+                torn = true;
+                break;
+            };
+            let (seq, record) = record?;
+            apply_wal_record(seq, record, snapshot_seq, next_seq, tables, counters)?;
+        }
+        if torn {
+            counters.wal_truncations.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        if stream.is_empty() {
+            return Ok(());
+        }
+    }
+}
+
+/// Applies one decoded WAL record to the recovering tables; records
+/// predating the snapshot seq are skipped (a crash landed between snapshot
+/// write and WAL reset, so they are already folded in).
+fn apply_wal_record(
+    seq: u64,
+    record: WalRecord,
+    snapshot_seq: u64,
+    next_seq: &mut u64,
+    tables: &mut Tables,
+    counters: &Counters,
+) -> Result<(), PersistError> {
     if seq < snapshot_seq {
         return Ok(());
     }
@@ -1032,10 +1112,13 @@ mod persist_tests {
         }
         // A torn tail (half a record) is detected, not decoded.
         assert!(matches!(next_frame(&framed[..framed.len() - 3]), Frame::Torn));
-        // A flipped payload bit fails the checksum.
+        // A flipped payload bit fails the checksum; splitting by length
+        // alone still finds the frame's end.
         let mut bad = framed.clone();
         bad[5] ^= 0x40;
         assert!(matches!(next_frame(&bad), Frame::Torn));
+        let Frame::Ok(frame, rest) = split_frame(&bad) else { panic!("expected a split frame") };
+        assert!(checked_payload(frame).is_none() && rest.is_empty());
         assert!(matches!(next_frame(&[]), Frame::End));
     }
 }

@@ -121,6 +121,62 @@ pub fn recovery_pool() -> Vec<Arc<TopologicalInvariant>> {
     out
 }
 
+/// One mutating operation of a scripted store workload.
+#[derive(Clone)]
+pub enum Op {
+    Ingest(Arc<TopologicalInvariant>),
+    Remove(usize),
+    Update(usize, Arc<TopologicalInvariant>),
+}
+
+/// Runs scripted operations on a store, one WAL record each (id assignment
+/// follows the script because ingest ids are dense).
+pub fn run_ops(store: &InvariantStore, ops: &[Op]) {
+    for op in ops {
+        match op {
+            Op::Ingest(invariant) => {
+                store.ingest_invariant(invariant.clone());
+            }
+            Op::Remove(id) => {
+                store.remove_instance(*id);
+            }
+            Op::Update(id, invariant) => {
+                store.update_instance(*id, invariant.clone());
+            }
+        }
+    }
+}
+
+/// Rounds of [`windowed_script`], seven WAL records each: enough records
+/// and bytes for replay to run in several windows at pool sizes 2 and 8
+/// (a window is 16 frames per pool thread, on logs of 64 KiB and more).
+const WINDOWED_ROUNDS: usize = 96;
+
+/// A long scripted workload over [`recovery_pool`] for WAL replay across
+/// windows. Round `r` works on two fresh ids and leaves none of them live:
+/// an ingest opens a class of shape `r % 4`, a twin ingest dedups into it,
+/// an update opens a class of the next shape, the twin's update joins it
+/// and collects the first class, a repeat of that update is a no-op, and
+/// two removals collect the second class. A tail ingests the whole pool,
+/// so four classes and eight instances are live at the end.
+pub fn windowed_script(pool: &[Arc<TopologicalInvariant>]) -> Vec<Op> {
+    let mut ops = Vec::with_capacity(7 * WINDOWED_ROUNDS + pool.len());
+    for r in 0..WINDOWED_ROUNDS {
+        let (id, shape, next) = (2 * r, r % 4, (r + 1) % 4);
+        ops.extend([
+            Op::Ingest(pool[shape].clone()),
+            Op::Ingest(pool[shape + 4].clone()),
+            Op::Update(id, pool[next].clone()),
+            Op::Update(id + 1, pool[next + 4].clone()),
+            Op::Update(id + 1, pool[next].clone()),
+            Op::Remove(id),
+            Op::Remove(id + 1),
+        ]);
+    }
+    ops.extend(pool.iter().map(|invariant| Op::Ingest(invariant.clone())));
+    ops
+}
+
 /// A duplicate-heavy batch of pre-built invariants: a handful of distinct
 /// tiny topologies, each repeated under several homeomorphic images, in
 /// copy-major interleaving so duplicates of one topology arrive spread out

@@ -1,9 +1,10 @@
 //! `top(I)` must be **bit-identical** whatever the pool size — same cell
 //! counts, same canonical code, same `CodeHash` at 1 (the
 //! guaranteed-sequential fallback), small, large, and oversubscribed — and
-//! the batched store ingest, the one place the pool fans out (per
-//! instance), must be observationally equivalent to a sequential ingest
-//! loop, down to the WAL bytes.
+//! the store's two fan-outs must match their sequential loops: batched
+//! ingest (per instance) down to the WAL bytes, and WAL replay (decoded per
+//! record across the pool, applied in log order) down to the tables, the
+//! counters and the snapshot a checkpoint then writes.
 //!
 //! The pool size is process-global (`topo_parallel::set_global_threads`), so
 //! every test that sweeps it serialises on one lock; the sweep itself is the
@@ -19,8 +20,8 @@ use topo_core::{
 
 mod common;
 use common::{
-    batch_query_mix as query_mix, fingerprint, seeded_workloads as workloads, try_ingest_one,
-    PoolGuard,
+    batch_query_mix as query_mix, fingerprint, recovery_pool, run_ops,
+    seeded_workloads as workloads, try_ingest_one, windowed_script, Op, PoolGuard,
 };
 
 /// The thread counts every sweep runs: sequential fallback, a small pool, the
@@ -164,5 +165,54 @@ fn invariant_batch_ingest_reuses_the_given_arcs() {
                 "an admitted class must keep the caller's Arc, not a copy"
             );
         }
+    }
+}
+
+/// Everything a recovered store is observed by: its class and instance
+/// tables, each live class's hash, the replay counters, and the snapshot a
+/// checkpoint writes.
+type Recovered = (Vec<Vec<usize>>, Vec<Option<usize>>, Vec<u64>, [u64; 5], Vec<u8>);
+
+/// Recovers a copy of `wal` at the current pool size and checkpoints it.
+fn recover(wal: &[u8], ids: usize) -> Recovered {
+    let backend = MemoryBackend::new();
+    backend.set_wal_bytes(wal.to_vec());
+    let store = InvariantStore::open(StoreConfig::default(), backend.clone()).unwrap();
+    let classes = store.classes();
+    let slots = (0..ids).map(|id| store.class_of(id)).collect();
+    let hashes = classes
+        .iter()
+        .map(|members| {
+            let class = store.class_of(members[0]).unwrap();
+            store.class_representative(class).unwrap().code_hash().as_u64()
+        })
+        .collect();
+    let s = store.stats();
+    let counters = [s.replayed_records, s.wal_truncations, s.gc_classes, s.updates, s.removals];
+    store.checkpoint().unwrap();
+    (classes, slots, hashes, counters, backend.snapshot_bytes().unwrap())
+}
+
+#[test]
+fn wal_replay_identical_across_thread_counts() {
+    let _guard = PoolGuard::take();
+    let ops = windowed_script(&recovery_pool());
+    let written = MemoryBackend::new();
+    let writer = InvariantStore::open(StoreConfig::default(), written.clone()).unwrap();
+    run_ops(&writer, &ops);
+    let wal = written.wal_bytes();
+    // Replay decodes across the pool from 64 KiB of log on.
+    assert!(wal.len() > 2 * 64 * 1024, "a {} B log replays on the sequential path", wal.len());
+    let ids = ops.iter().filter(|op| matches!(op, Op::Ingest(_))).count() + 4; // past the end too
+    writer.checkpoint().unwrap();
+    let live_snapshot = written.snapshot_bytes().unwrap();
+
+    set_global_threads(1);
+    let sequential = recover(&wal, ids);
+    assert_eq!(sequential.4, live_snapshot, "replay diverged from the store that wrote the log");
+    assert_eq!(sequential.3[0] as usize, ops.len());
+    for threads in SWEEP {
+        set_global_threads(threads);
+        assert_eq!(recover(&wal, ids), sequential, "replay diverged at {threads} threads");
     }
 }

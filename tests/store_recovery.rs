@@ -13,6 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use topo_core::parallel::set_global_threads;
 use topo_core::store::persist::crc32;
 use topo_core::{
     FaultKind, FaultPlan, FaultSite, FaultyBackend, FileBackend, IngestOutcome, InvariantStore,
@@ -20,15 +21,9 @@ use topo_core::{
 };
 
 mod common;
-use common::{recovery_pool as pool, recovery_query_mix as query_mix};
-
-/// One mutating operation of a scripted workload.
-#[derive(Clone)]
-enum Op {
-    Ingest(Arc<TopologicalInvariant>),
-    Remove(usize),
-    Update(usize, Arc<TopologicalInvariant>),
-}
+use common::{
+    recovery_pool as pool, recovery_query_mix as query_mix, run_ops, windowed_script, Op, PoolGuard,
+};
 
 /// The scripted workload every fault scenario runs: ingests with duplicates
 /// interleaved with removals (including one that garbage-collects a class)
@@ -51,24 +46,6 @@ fn script(pool: &[Arc<TopologicalInvariant>]) -> Vec<Op> {
         Op::Update(5, pool[0].clone()), // id 5 re-admits the collected shape as a new class
         Op::Remove(7),                  // collects id 7's class
     ]
-}
-
-/// Replays a prefix of the script on a store (id assignment follows the
-/// script because ingest ids are dense).
-fn run_ops(store: &InvariantStore, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Ingest(invariant) => {
-                store.ingest_invariant(invariant.clone());
-            }
-            Op::Remove(id) => {
-                store.remove_instance(*id);
-            }
-            Op::Update(id, invariant) => {
-                store.update_instance(*id, invariant.clone());
-            }
-        }
-    }
 }
 
 /// A never-crashed in-memory oracle that executed the given op prefix.
@@ -589,6 +566,123 @@ fn checksummed_hostile_wal_records_are_corrupt() {
     let recovered = InvariantStore::open(StoreConfig::default(), durable).unwrap();
     assert_eq!(recovered.stats().replayed_records, 3);
     assert_eq!(recovered.classes(), vec![vec![1]]);
+}
+
+/// The frames of [`windowed_script`]'s WAL, one per operation, written to
+/// a fresh backend. The log is long enough to replay in windows (replay
+/// decodes across the pool from 64 KiB of log on): at pool 8 a window is
+/// 128 frames, at pool 2 it is 32.
+fn windowed_wal(ops: &[Op]) -> (Arc<MemoryBackend>, Vec<Vec<u8>>) {
+    let durable = MemoryBackend::new();
+    run_ops(&InvariantStore::open(StoreConfig::default(), durable.clone()).unwrap(), ops);
+    let wal = durable.wal_bytes();
+    assert!(wal.len() > 2 * 64 * 1024, "a {} B log replays on the sequential path", wal.len());
+    let frames: Vec<Vec<u8>> = frame_payloads(&wal).iter().map(|p| framed(p)).collect();
+    assert_eq!(frames.len(), ops.len());
+    (durable, frames)
+}
+
+/// A frame's record with one byte appended, re-checksummed: it passes
+/// the CRC but does not decode.
+fn with_trailing_byte(frame: &[u8]) -> Vec<u8> {
+    framed(&[&frame[4..frame.len() - 4], &[0]].concat())
+}
+
+/// The pool sizes whose replays must agree: the sequential loop, and
+/// windows decoded across eight workers.
+const REPLAY_POOLS: [usize; 2] = [1, 8];
+
+/// Opens a store over `durable` at each of [`REPLAY_POOLS`].
+fn open_at_each_pool(durable: &Arc<MemoryBackend>) -> Vec<Result<InvariantStore, PersistError>> {
+    REPLAY_POOLS
+        .iter()
+        .map(|&threads| {
+            set_global_threads(threads);
+            InvariantStore::open(StoreConfig::default(), durable.clone())
+        })
+        .collect()
+}
+
+/// A frame whose checksum fails, at the first, a middle and the last frame
+/// of a window: replay keeps every earlier record, ignores every later one,
+/// and counts one truncation, whatever the pool size.
+#[test]
+fn torn_frame_inside_a_replay_window_truncates_at_every_pool_size() {
+    let _guard = PoolGuard::take();
+    let pool = pool();
+    let ops = windowed_script(&pool);
+    let (durable, frames) = windowed_wal(&ops);
+    for torn in [128, 200, 255] {
+        let mut bytes = frames.clone();
+        bytes[torn][5] ^= 0x10; // a seq byte: the length field stays intact
+        durable.set_wal_bytes(bytes.concat());
+        for (recovered, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+            let recovered = recovered.unwrap();
+            let label = format!("frame {torn} torn, pool {threads}");
+            assert_eq!(recovered.stats().replayed_records as usize, torn, "{label}");
+            assert_eq!(recovered.stats().wal_truncations, 1, "{label}");
+            assert_equivalent(&recovered, &oracle_for(&ops[..torn]), &label);
+        }
+    }
+}
+
+/// Checksum-valid records that do not decode or apply, followed by valid
+/// records in the same window: replay fails with the first error in log
+/// order, and the same error at every pool size.
+#[test]
+fn corrupt_record_inside_a_replay_window_is_the_same_error_at_every_pool_size() {
+    let _guard = PoolGuard::take();
+    let pool = pool();
+    let ops = windowed_script(&pool);
+    let (durable, frames) = windowed_wal(&ops);
+    // Instance 0 was removed in the first round; a trailing byte does not
+    // decode.
+    let remove_removed =
+        framed(&[&[0x02][..], &200u64.to_le_bytes(), &0u64.to_le_bytes()].concat());
+    let trailing_byte = with_trailing_byte(&frames[210]);
+    for (label, hostile, expected) in [
+        ("undecodable record", vec![(210, &trailing_byte)], "trailing bytes inside wal record"),
+        (
+            "inapplicable record before an undecodable one",
+            vec![(200, &remove_removed), (210, &trailing_byte)],
+            "wal removes unknown or removed instance 0",
+        ),
+    ] {
+        let mut bytes = frames.clone();
+        for (at, record) in hostile {
+            bytes[at] = record.clone();
+        }
+        durable.set_wal_bytes(bytes.concat());
+        for (opened, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+            match opened {
+                Err(PersistError::Corrupt(why)) => {
+                    assert!(why.contains(expected), "{label}, pool {threads}: {why}");
+                }
+                Err(other) => panic!("{label}, pool {threads}: failed with {other}"),
+                Ok(_) => panic!("{label}, pool {threads}: opened"),
+            }
+        }
+    }
+}
+
+/// A checksum-valid corrupt record after a torn frame of the same window
+/// is never looked at: replay stops at the torn frame.
+#[test]
+fn corrupt_record_after_a_torn_frame_is_never_applied() {
+    let _guard = PoolGuard::take();
+    let pool = pool();
+    let ops = windowed_script(&pool);
+    let (durable, mut frames) = windowed_wal(&ops);
+    frames[200][5] ^= 0x10;
+    frames[210] = with_trailing_byte(&frames[210]);
+    durable.set_wal_bytes(frames.concat());
+    for (recovered, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+        let recovered = recovered.unwrap();
+        let label = format!("corrupt record after a torn one, pool {threads}");
+        assert_eq!(recovered.stats().replayed_records, 200, "{label}");
+        assert_eq!(recovered.stats().wal_truncations, 1, "{label}");
+        assert_equivalent(&recovered, &oracle_for(&ops[..200]), &label);
+    }
 }
 
 #[test]
