@@ -593,12 +593,14 @@ fn with_trailing_byte(frame: &[u8]) -> Vec<u8> {
 const REPLAY_POOLS: [usize; 2] = [1, 8];
 
 /// Opens a store over `durable` at each of [`REPLAY_POOLS`].
-fn open_at_each_pool(durable: &Arc<MemoryBackend>) -> Vec<Result<InvariantStore, PersistError>> {
+fn open_at_each_pool(
+    durable: &Arc<MemoryBackend>,
+) -> Vec<(usize, Result<InvariantStore, PersistError>)> {
     REPLAY_POOLS
         .iter()
         .map(|&threads| {
             set_global_threads(threads);
-            InvariantStore::open(StoreConfig::default(), durable.clone())
+            (threads, InvariantStore::open(StoreConfig::default(), durable.clone()))
         })
         .collect()
 }
@@ -616,12 +618,13 @@ fn torn_frame_inside_a_replay_window_truncates_at_every_pool_size() {
         let mut bytes = frames.clone();
         bytes[torn][5] ^= 0x10; // a seq byte: the length field stays intact
         durable.set_wal_bytes(bytes.concat());
-        for (recovered, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+        let oracle = oracle_for(&ops[..torn]);
+        for (threads, recovered) in open_at_each_pool(&durable) {
             let recovered = recovered.unwrap();
             let label = format!("frame {torn} torn, pool {threads}");
             assert_eq!(recovered.stats().replayed_records as usize, torn, "{label}");
             assert_eq!(recovered.stats().wal_truncations, 1, "{label}");
-            assert_equivalent(&recovered, &oracle_for(&ops[..torn]), &label);
+            assert_equivalent(&recovered, &oracle, &label);
         }
     }
 }
@@ -653,7 +656,7 @@ fn corrupt_record_inside_a_replay_window_is_the_same_error_at_every_pool_size() 
             bytes[at] = record.clone();
         }
         durable.set_wal_bytes(bytes.concat());
-        for (opened, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+        for (threads, opened) in open_at_each_pool(&durable) {
             match opened {
                 Err(PersistError::Corrupt(why)) => {
                     assert!(why.contains(expected), "{label}, pool {threads}: {why}");
@@ -676,12 +679,13 @@ fn corrupt_record_after_a_torn_frame_is_never_applied() {
     frames[200][5] ^= 0x10;
     frames[210] = with_trailing_byte(&frames[210]);
     durable.set_wal_bytes(frames.concat());
-    for (recovered, threads) in open_at_each_pool(&durable).into_iter().zip(REPLAY_POOLS) {
+    let oracle = oracle_for(&ops[..200]);
+    for (threads, recovered) in open_at_each_pool(&durable) {
         let recovered = recovered.unwrap();
         let label = format!("corrupt record after a torn one, pool {threads}");
         assert_eq!(recovered.stats().replayed_records, 200, "{label}");
         assert_eq!(recovered.stats().wal_truncations, 1, "{label}");
-        assert_equivalent(&recovered, &oracle_for(&ops[..200]), &label);
+        assert_equivalent(&recovered, &oracle, &label);
     }
 }
 
