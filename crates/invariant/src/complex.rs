@@ -93,8 +93,17 @@ impl RegionSet {
         })
     }
 
-    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+    /// The bit words, regions `64 w .. 64 w + 63` in word `w` (bit `r % 64`
+    /// for region `r`): one word per started block of 64 regions of the
+    /// schema the set was sized for, and at least one.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
         std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    /// The same words as [`RegionSet::words`], for writing a whole set at
+    /// once.
+    pub fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
+        std::iter::once(&mut self.first).chain(self.rest.iter_mut())
     }
 }
 

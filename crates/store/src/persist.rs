@@ -12,19 +12,21 @@
 //!
 //! The **WAL** is a plain concatenation of records, one per mutating
 //! operation, appended *inside* the store's table-lock critical section so
-//! WAL order is exactly id-assignment order. Payloads are tagged:
+//! WAL order is exactly id-assignment order. Payloads are tagged, and each
+//! tag carries the format version in its high nibble and the record kind in
+//! its low one:
 //!
 //! ```text
-//! ingest := 0x01, seq: u64, id: u64, class: u64, code_hash: u64,
+//! ingest := 0x21, seq: u64, id: u64, class: u64, code_hash: u64,
 //!           new_class: u8, [invariant (only when new_class = 1)]
-//! update := 0x03, then the ingest fields
-//! remove := 0x02, seq: u64, id: u64
+//! update := 0x23, then the ingest fields
+//! remove := 0x22, seq: u64, id: u64
 //! ```
 //!
 //! An update re-points live instance `id` at `class`, collecting its old
 //! class if that empties; an update to the current class is a logged no-op.
 //!
-//! The **snapshot** is a magic + version header (`"TSNP"`, version 1)
+//! The **snapshot** is a magic + version header (`"TSNP"`, version: u32 LE)
 //! followed by a single framed record holding the full live state:
 //!
 //! ```text
@@ -34,11 +36,36 @@
 //! ```
 //!
 //! `seq` is the next WAL sequence number; the slot counts keep dead ids dead
-//! after recovery. Invariants are serialised field by field as
-//! [`topo_invariant::InvariantParts`] lists them (encoded from the borrowed
-//! [`topo_invariant::InvariantPartsRef`] view, decoded back into parts), and
-//! each class carries its already-computed [`CodeHash`] — **recovery never
-//! re-canonicalises**.
+//! after recovery. Each class carries its already-computed [`CodeHash`] —
+//! **recovery never re-canonicalises**.
+//!
+//! Record and snapshot headers are fixed-width; the invariant body is
+//! compact. It lists the fields of [`topo_invariant::InvariantParts`] in
+//! order (encoded from the borrowed [`topo_invariant::InvariantPartsRef`]
+//! view, decoded back into parts), every count and index an unsigned LEB128
+//! varint `v` (seven bits per byte, low group first, the high bit set on
+//! every byte but the last):
+//!
+//! ```text
+//! invariant := regions: v, (name_len: v, name: UTF-8)*,
+//!              vertices: v, vertex*, edges: v, edge*,
+//!              faces: v, face_regions: set*, exterior_face: v
+//! vertex    := slots: v, (edge << 1 | end: v)*, (sector face: v)*,
+//!              isolated face + 1 (0 for none): v, regions: set, boundary: set
+//! edge      := first end + 1 (0 for a closed curve): v, [second end: v],
+//!              left face: v, right face: v, regions: set, boundary: set
+//! set       := one v per started block of 64 regions: the set's bit word
+//! ```
+//!
+//! A vertex has one sector per slot, so the sector count is not stored. The
+//! decoder refuses a varint that is longer than it needs to be or exceeds
+//! `u64`, an index past `u32`, a count larger than the bytes left (before
+//! allocating for it), and a region bit at or past the schema's size.
+//!
+//! Bytes of another format version are refused as
+//! [`PersistError::UnsupportedVersion`]: a snapshot by its header, a WAL
+//! record by its tag (format 1 tags are `0x01`–`0x03`). No older version is
+//! read.
 //!
 //! # Recovery contract
 //!
@@ -55,16 +82,17 @@
 //! is exactly the property the fault-injection suite checks recovered
 //! stores against.
 //!
-//! A WAL of 64 KiB or more replays in windows of frames: a sequential pass
-//! splits a window off by frame lengths alone, the global pool
-//! ([`topo_parallel::Pool`]) checks each frame's checksum and decodes it,
-//! one record per task, and the window's records are then applied strictly
-//! in log order before the next window is split. Decoding is pure, so the
-//! outcome is the sequential loop's at every pool size: the first frame
-//! that is torn or fails its checksum ends the replay (records decoded
-//! after it are dropped, never applied), and the first record in log order
-//! that does not decode or apply is the error. Shorter logs, and every log
-//! at pool size 1, replay one frame at a time on the calling thread.
+//! Above pool size 1 the WAL replays in windows of frames: a sequential
+//! pass splits a window off by frame lengths alone; when the window holds
+//! 8 KiB or more, the global pool ([`topo_parallel::Pool`]) checks each
+//! frame's checksum and decodes it, one record per task (a smaller window
+//! is decoded on the calling thread); and the window's records are then
+//! applied strictly in log order before the next window is split. Decoding
+//! is pure, so the outcome is the sequential loop's at every pool size: the
+//! first frame that is torn or fails its checksum ends the replay (records
+//! decoded after it are dropped, never applied), and the first record in
+//! log order that does not decode or apply is the error. At pool size 1 the
+//! WAL replays one frame at a time on the calling thread.
 //!
 //! Both decoders apply what they read through the checked transitions the
 //! live operations use (`tables.rs`), so checksum-valid bytes that no
@@ -103,24 +131,37 @@ use crate::{read_recover, ClassId, Counters, InstanceId, InvariantStore, StoreCo
 /// Magic bytes opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 /// Current snapshot/WAL format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-/// WALs shorter than this replay one frame at a time on the calling thread,
-/// as does every WAL at pool size 1. Replay costs about 6 µs per KiB of log
-/// on one core; forced onto a pool of 2 on a 2-thread VM, a 22 KiB log
-/// opened in 182 µs against 156 µs sequentially, a 51 KiB log in 311
-/// against 352 µs, and a 103 KiB log in 556 against 844 µs.
-const PARALLEL_REPLAY_MIN_BYTES: usize = 64 * 1024;
+/// A replay window whose frames hold fewer bytes than this decodes on the
+/// calling thread; a larger one decodes across the pool. Bytes stand in for
+/// decode work: a record that opens a class costs about 20 µs per KiB on
+/// one core, a dedup or removal record under 1 µs, and a pool spawn tens of
+/// µs. Timed on a 2-thread VM at pool 2 against pool 1 (sequential),
+/// medians of 101 opens, on logs of grid 4–8 maps that each open a class:
+/// a 4.9 KiB log (3 records) opened at 1.0–1.2× the sequential time with
+/// every window decoded on the pool, an 8.5 KiB log (6 records) at 0.73–0.82×
+/// and a 48 KiB log at 0.57–0.68×. On a dedup-heavy log of grid-3 records
+/// (32 frames ≈ 1.3 KiB) pool windows cost 1.7× at 4 KiB and 5× at 16 KiB,
+/// while gating each window at 8 KiB kept that log at 0.86–0.96×.
+const PARALLEL_REPLAY_MIN_BYTES: usize = 8 * 1024;
 
-/// Frames per pool thread in one replay window of a longer WAL. A window is
-/// decoded across the pool and applied before the next is split off, so at
-/// most one window of decoded records is held beside the tables. With one
-/// frame per thread the spawns per window cost more than the decode saves.
+/// Frames per pool thread in one replay window. A window is decoded and
+/// applied before the next is split off, so at most one window of decoded
+/// records is held beside the tables. With one frame per thread the spawns
+/// per window cost more than the decode saves.
 const REPLAY_FRAMES_PER_THREAD: usize = 16;
 
-pub(crate) const TAG_INGEST: u8 = 0x01;
-const TAG_REMOVE: u8 = 0x02;
-pub(crate) const TAG_UPDATE: u8 = 0x03;
+/// A WAL record tag: [`FORMAT_VERSION`] in the high nibble, the record
+/// kind (1 to 3) in the low one. Format 1 tags had a zero high nibble.
+const fn wal_tag(kind: u8) -> u8 {
+    assert!(FORMAT_VERSION < 16 && kind < 16);
+    (FORMAT_VERSION as u8) << 4 | kind
+}
+
+pub(crate) const TAG_INGEST: u8 = wal_tag(1);
+const TAG_REMOVE: u8 = wal_tag(2);
+pub(crate) const TAG_UPDATE: u8 = wal_tag(3);
 
 // ---------------------------------------------------------------------------
 // checksum
@@ -186,10 +227,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum PersistError {
     /// The storage backend failed.
     Io(io::Error),
-    /// Stored bytes exist but do not decode: bad magic, unsupported
-    /// version, checksum mismatch on the snapshot, or an impossible record
-    /// (e.g. a WAL record referencing a class that was never created).
+    /// Stored bytes exist but do not decode: bad magic, checksum mismatch
+    /// on the snapshot, or an impossible record (e.g. a WAL record
+    /// referencing a class that was never created).
     Corrupt(String),
+    /// A snapshot header or WAL record tag names a format version this
+    /// build does not read.
+    UnsupportedVersion {
+        /// The version the bytes were written in.
+        found: u32,
+        /// [`FORMAT_VERSION`], the only version this build reads.
+        expected: u32,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -197,6 +246,9 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "storage backend error: {e}"),
             PersistError::Corrupt(why) => write!(f, "corrupt persistent state: {why}"),
+            PersistError::UnsupportedVersion { found, expected } => {
+                write!(f, "unsupported format version {found} (this build reads {expected})")
+            }
         }
     }
 }
@@ -379,13 +431,37 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn usize32(&mut self, v: usize) {
-        self.u32(u32::try_from(v).expect("cell/region index exceeds u32 range"));
+    /// An unsigned LEB128 varint: seven bits per byte, low group first, the
+    /// high bit set on every byte but the last.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    fn bytes(&mut self, v: &[u8]) {
-        self.usize32(v.len());
-        self.buf.extend_from_slice(v);
+    /// A cell or region index, count or length, as a varint of at most
+    /// `u32::MAX`.
+    fn index(&mut self, v: usize) {
+        self.varint(u64::from(u32::try_from(v).expect("cell/region index exceeds u32 range")));
+    }
+
+    /// An optional index as `index + 1`, `0` for `None`.
+    fn opt_index(&mut self, v: Option<usize>) {
+        match v {
+            None => self.varint(0),
+            Some(x) => {
+                self.varint(u64::from(u32::try_from(x).expect("cell index exceeds u32 range")) + 1)
+            }
+        }
+    }
+
+    /// A region set as its first `words` bit words.
+    fn region_set(&mut self, set: &topo_invariant::RegionSet, words: usize) {
+        for word in set.words().take(words) {
+            self.varint(word);
+        }
     }
 
     /// Appends one framed record, `[len][payload][crc32]`: `payload` writes
@@ -431,26 +507,127 @@ impl<'a> Dec<'a> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
     fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn usize32(&mut self, what: &str) -> Result<usize, PersistError> {
-        Ok(self.u32(what)? as usize)
+    /// An unsigned LEB128 varint. One that is longer than its value needs,
+    /// or exceeds `u64`, is corrupt, so every value has one encoding. One-
+    /// and two-byte varints (every index below 16 384) decode inline.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, BodyError> {
+        match self.bytes[self.pos..] {
+            [b0, ..] if b0 < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b0))
+            }
+            [b0, b1, ..] if b1 < 0x80 && b1 != 0 => {
+                self.pos += 2;
+                Ok(u64::from(b0 & 0x7F) | u64::from(b1) << 7)
+            }
+            _ => self.long_varint(),
+        }
     }
 
-    fn bytes(&mut self, what: &str) -> Result<&'a [u8], PersistError> {
-        let len = self.usize32(what)?;
-        self.take(len, what)
+    #[inline(never)]
+    fn long_varint(&mut self) -> Result<u64, BodyError> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&byte) = self.bytes.get(self.pos) else { return Err(BodyError::Truncated) };
+            self.pos += 1;
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                if (byte == 0 && shift > 0) || (shift == 63 && byte > 1) {
+                    return Err(BodyError::OverlongVarint);
+                }
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(BodyError::OverlongVarint);
+            }
+        }
+    }
+
+    /// A cell or region index: a varint of at most `u32::MAX`, the bound
+    /// the encoder keeps.
+    #[inline(always)]
+    fn index(&mut self) -> Result<usize, BodyError> {
+        within_u32(self.varint()?)
+    }
+
+    /// An optional index stored as `index + 1`, `0` for `None`.
+    #[inline(always)]
+    fn opt_index(&mut self) -> Result<Option<usize>, BodyError> {
+        match self.varint()? {
+            0 => Ok(None),
+            v => within_u32(v - 1).map(Some),
+        }
+    }
+
+    /// An element count. Every counted element takes at least one byte, so
+    /// a count past the bytes left is corrupt: a hostile count never sizes
+    /// an allocation beyond the input.
+    fn count(&mut self) -> Result<usize, BodyError> {
+        let n = self.index()?;
+        if n > self.bytes.len() - self.pos {
+            return Err(BodyError::CountPastBytesLeft);
+        }
+        Ok(n)
+    }
+
+    /// A region set over `region_count` regions, as its bit words. A bit at
+    /// or past `region_count` is corrupt.
+    #[inline(always)]
+    fn region_set(&mut self, region_count: usize) -> Result<topo_invariant::RegionSet, BodyError> {
+        let mut set = topo_invariant::RegionSet::new(region_count);
+        let words = region_count.div_ceil(64);
+        for (w, word) in set.words_mut().take(words).enumerate() {
+            let bits = self.varint()?;
+            let width = region_count - 64 * w;
+            if width < 64 && bits >> width != 0 {
+                return Err(BodyError::RegionBitBeyondSchema);
+            }
+            *word = bits;
+        }
+        Ok(set)
     }
 
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
+}
+
+/// Why an invariant body does not decode. Small and `Copy`, so the body
+/// decoder's per-field results stay in registers; [`decode_invariant`]
+/// reports it with the byte offset where decoding stopped.
+#[derive(Clone, Copy, Debug)]
+enum BodyError {
+    Truncated,
+    OverlongVarint,
+    PastU32,
+    CountPastBytesLeft,
+    RegionBitBeyondSchema,
+    NameNotUtf8,
+}
+
+impl fmt::Display for BodyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            BodyError::Truncated => "truncated",
+            BodyError::OverlongVarint => "overlong varint",
+            BodyError::PastU32 => "index exceeds u32 range",
+            BodyError::CountPastBytesLeft => "count exceeds the bytes left",
+            BodyError::RegionBitBeyondSchema => "region bit beyond the schema",
+            BodyError::NameNotUtf8 => "region name is not UTF-8",
+        })
+    }
+}
+
+#[inline(always)]
+fn within_u32(v: u64) -> Result<usize, BodyError> {
+    u32::try_from(v).map(|v| v as usize).map_err(|_| BodyError::PastU32)
 }
 
 /// Result of pulling one frame off a byte stream.
@@ -503,93 +680,52 @@ fn next_frame(stream: &[u8]) -> Frame<'_> {
 // ---------------------------------------------------------------------------
 // invariant (de)serialisation
 
-fn encode_region_set(enc: &mut Enc, set: &topo_invariant::RegionSet) {
-    enc.usize32(set.len());
-    for m in set.iter() {
-        enc.usize32(m);
-    }
-}
-
-fn decode_region_set(
-    dec: &mut Dec<'_>,
-    region_count: usize,
-) -> Result<topo_invariant::RegionSet, PersistError> {
-    let mut set = topo_invariant::RegionSet::new(region_count);
-    let n = dec.usize32("region set size")?;
-    for _ in 0..n {
-        let region = dec.usize32("region id")?;
-        if region >= region_count {
-            return Err(PersistError::Corrupt(format!(
-                "region id {region} out of range (schema has {region_count})"
-            )));
-        }
-        set.insert(region);
-    }
-    Ok(set)
-}
-
-fn encode_opt_usize(enc: &mut Enc, v: Option<usize>) {
-    match v {
-        None => enc.u8(0),
-        Some(x) => {
-            enc.u8(1);
-            enc.usize32(x);
-        }
-    }
-}
-
-fn decode_opt_usize(dec: &mut Dec<'_>, what: &str) -> Result<Option<usize>, PersistError> {
-    match dec.u8(what)? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.usize32(what)?)),
-        other => Err(PersistError::Corrupt(format!("bad option tag {other} in {what}"))),
-    }
-}
-
 /// Serialises an invariant through its borrowed
-/// [`InvariantPartsRef`](topo_invariant::InvariantPartsRef) view.
+/// [`InvariantPartsRef`](topo_invariant::InvariantPartsRef) view, in the
+/// compact layout of the [module docs](self).
 pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) {
     let parts = invariant.parts_ref();
-    enc.usize32(parts.schema.len());
+    let words = parts.schema.len().div_ceil(64);
+    enc.index(parts.schema.len());
     for (_, name) in parts.schema.iter() {
-        enc.bytes(name.as_bytes());
+        enc.index(name.len());
+        enc.buf.extend_from_slice(name.as_bytes());
     }
-    enc.usize32(parts.vertex_slots.len());
+    enc.index(parts.vertex_slots.len());
     for v in 0..parts.vertex_slots.len() {
-        enc.usize32(parts.vertex_slots[v].len());
-        for &(edge, end) in &parts.vertex_slots[v] {
-            enc.usize32(edge);
-            enc.u8(end);
+        let slots = &parts.vertex_slots[v];
+        debug_assert_eq!(parts.vertex_sectors[v].len(), slots.len(), "one sector per slot");
+        enc.index(slots.len());
+        for &(edge, end) in slots {
+            debug_assert!(end <= 1, "an edge has two ends");
+            let edge = u32::try_from(edge).expect("cell index exceeds u32 range");
+            enc.varint(u64::from(edge) << 1 | u64::from(end));
         }
-        enc.usize32(parts.vertex_sectors[v].len());
         for &face in &parts.vertex_sectors[v] {
-            enc.usize32(face);
+            enc.index(face);
         }
-        encode_opt_usize(enc, parts.vertex_isolated_face[v]);
-        encode_region_set(enc, &parts.vertex_regions[v]);
-        encode_region_set(enc, &parts.vertex_boundary[v]);
+        enc.opt_index(parts.vertex_isolated_face[v]);
+        enc.region_set(&parts.vertex_regions[v], words);
+        enc.region_set(&parts.vertex_boundary[v], words);
     }
-    enc.usize32(parts.edge_ends.len());
+    enc.index(parts.edge_ends.len());
     for e in 0..parts.edge_ends.len() {
-        match parts.edge_ends[e] {
-            None => enc.u8(0),
-            Some((a, b)) => {
-                enc.u8(1);
-                enc.usize32(a);
-                enc.usize32(b);
-            }
+        let ends = parts.edge_ends[e];
+        enc.opt_index(ends.map(|(a, _)| a));
+        if let Some((_, b)) = ends {
+            enc.index(b);
         }
         let (left, right) = parts.edge_sides[e];
-        enc.usize32(left);
-        enc.usize32(right);
-        encode_region_set(enc, &parts.edge_regions[e]);
-        encode_region_set(enc, &parts.edge_boundary[e]);
+        enc.index(left);
+        enc.index(right);
+        enc.region_set(&parts.edge_regions[e], words);
+        enc.region_set(&parts.edge_boundary[e], words);
     }
-    enc.usize32(parts.face_regions.len());
+    enc.index(parts.face_regions.len());
     for face in parts.face_regions {
-        encode_region_set(enc, face);
+        enc.region_set(face, words);
     }
-    enc.usize32(parts.exterior_face);
+    enc.index(parts.exterior_face);
 }
 
 /// Deserialises an invariant. [`TopologicalInvariant::from_parts`] checks
@@ -597,70 +733,72 @@ pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) 
 /// bounds, so bytes that pass the checksum cannot index out of range. It
 /// does not check topological consistency (rotation system, faces, Euler
 /// characteristic, region labels): such bytes can still build an invariant
-/// that no instance has (ROADMAP.md, item 5).
+/// that no instance has (ROADMAP.md, item 7).
 pub(crate) fn decode_invariant(dec: &mut Dec<'_>) -> Result<TopologicalInvariant, PersistError> {
-    let region_count = dec.usize32("schema size")?;
-    let mut names = Vec::with_capacity(region_count.min(1024));
+    let parts = decode_parts(dec).map_err(|why| {
+        PersistError::Corrupt(format!("invariant body at byte {}: {why}", dec.pos))
+    })?;
+    TopologicalInvariant::from_parts(parts).map_err(PersistError::Corrupt)
+}
+
+fn decode_parts(dec: &mut Dec<'_>) -> Result<InvariantParts, BodyError> {
+    let region_count = dec.count()?;
+    let mut names = Vec::with_capacity(region_count);
     for _ in 0..region_count {
-        let raw = dec.bytes("region name")?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| PersistError::Corrupt("region name is not UTF-8".into()))?;
-        names.push(name.to_owned());
+        let len = dec.count()?;
+        let raw = &dec.bytes[dec.pos..dec.pos + len];
+        dec.pos += len;
+        names.push(std::str::from_utf8(raw).map_err(|_| BodyError::NameNotUtf8)?.to_owned());
     }
     let schema = Schema::from_names(names);
 
-    let nv = dec.usize32("vertex count")?;
-    let mut vertex_slots = Vec::with_capacity(nv.min(65_536));
-    let mut vertex_sectors = Vec::with_capacity(nv.min(65_536));
-    let mut vertex_isolated_face = Vec::with_capacity(nv.min(65_536));
-    let mut vertex_regions = Vec::with_capacity(nv.min(65_536));
-    let mut vertex_boundary = Vec::with_capacity(nv.min(65_536));
+    let nv = dec.count()?;
+    let mut vertex_slots = Vec::with_capacity(nv);
+    let mut vertex_sectors = Vec::with_capacity(nv);
+    let mut vertex_isolated_face = Vec::with_capacity(nv);
+    let mut vertex_regions = Vec::with_capacity(nv);
+    let mut vertex_boundary = Vec::with_capacity(nv);
     for _ in 0..nv {
-        let slots = dec.usize32("vertex slot count")?;
-        let mut vslots = Vec::with_capacity(slots.min(65_536));
+        let slots = dec.count()?;
+        let mut vslots = Vec::with_capacity(slots);
         for _ in 0..slots {
-            let edge = dec.usize32("slot edge")?;
-            let end = dec.u8("slot end")?;
-            vslots.push((edge, end));
+            let slot = dec.varint()?;
+            vslots.push((within_u32(slot >> 1)?, (slot & 1) as u8));
         }
         vertex_slots.push(vslots);
-        let sectors = dec.usize32("vertex sector count")?;
-        let mut vsectors = Vec::with_capacity(sectors.min(65_536));
-        for _ in 0..sectors {
-            vsectors.push(dec.usize32("sector face")?);
+        let mut vsectors = Vec::with_capacity(slots);
+        for _ in 0..slots {
+            vsectors.push(dec.index()?);
         }
         vertex_sectors.push(vsectors);
-        vertex_isolated_face.push(decode_opt_usize(dec, "isolated face")?);
-        vertex_regions.push(decode_region_set(dec, region_count)?);
-        vertex_boundary.push(decode_region_set(dec, region_count)?);
+        vertex_isolated_face.push(dec.opt_index()?);
+        vertex_regions.push(dec.region_set(region_count)?);
+        vertex_boundary.push(dec.region_set(region_count)?);
     }
 
-    let ne = dec.usize32("edge count")?;
-    let mut edge_ends = Vec::with_capacity(ne.min(65_536));
-    let mut edge_sides = Vec::with_capacity(ne.min(65_536));
-    let mut edge_regions = Vec::with_capacity(ne.min(65_536));
-    let mut edge_boundary = Vec::with_capacity(ne.min(65_536));
+    let ne = dec.count()?;
+    let mut edge_ends = Vec::with_capacity(ne);
+    let mut edge_sides = Vec::with_capacity(ne);
+    let mut edge_regions = Vec::with_capacity(ne);
+    let mut edge_boundary = Vec::with_capacity(ne);
     for _ in 0..ne {
-        edge_ends.push(match dec.u8("edge ends tag")? {
-            0 => None,
-            1 => Some((dec.usize32("edge end a")?, dec.usize32("edge end b")?)),
-            other => {
-                return Err(PersistError::Corrupt(format!("bad edge-ends tag {other}")));
-            }
+        edge_ends.push(match dec.opt_index()? {
+            None => None,
+            Some(a) => Some((a, dec.index()?)),
         });
-        edge_sides.push((dec.usize32("edge left face")?, dec.usize32("edge right face")?));
-        edge_regions.push(decode_region_set(dec, region_count)?);
-        edge_boundary.push(decode_region_set(dec, region_count)?);
+        edge_sides.push((dec.index()?, dec.index()?));
+        edge_regions.push(dec.region_set(region_count)?);
+        edge_boundary.push(dec.region_set(region_count)?);
     }
 
-    let nf = dec.usize32("face count")?;
-    let mut face_regions = Vec::with_capacity(nf.min(65_536));
+    let nf = dec.count()?;
+    let mut face_regions = Vec::with_capacity(nf);
     for _ in 0..nf {
-        face_regions.push(decode_region_set(dec, region_count)?);
+        face_regions.push(dec.region_set(region_count)?);
     }
-    let exterior_face = dec.usize32("exterior face")?;
+    let exterior_face = dec.index()?;
 
-    TopologicalInvariant::from_parts(InvariantParts {
+    Ok(InvariantParts {
         schema,
         vertex_slots,
         vertex_sectors,
@@ -674,7 +812,6 @@ pub(crate) fn decode_invariant(dec: &mut Dec<'_>) -> Result<TopologicalInvariant
         face_regions,
         exterior_face,
     })
-    .map_err(PersistError::Corrupt)
 }
 
 // ---------------------------------------------------------------------------
@@ -859,9 +996,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Tables), PersistError> {
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
     if version != FORMAT_VERSION {
-        return Err(PersistError::Corrupt(format!(
-            "unsupported snapshot version {version} (expected {FORMAT_VERSION})"
-        )));
+        return Err(PersistError::UnsupportedVersion { found: version, expected: FORMAT_VERSION });
     }
     let Frame::Ok(body, rest) = next_frame(&bytes[8..]) else {
         return Err(PersistError::Corrupt("snapshot body torn or checksum mismatch".into()));
@@ -917,10 +1052,29 @@ enum WalRecord {
     Remove(InstanceId),
 }
 
+fn unknown_tag(tag: u8) -> PersistError {
+    PersistError::Corrupt(format!("unknown wal record tag {tag:#x}"))
+}
+
+/// The refusal of a tag from another format version: format 1's tags are
+/// the bare kinds 1 to 3, later formats carry their version in the high
+/// nibble.
+fn foreign_tag(tag: u8) -> PersistError {
+    let found = match tag >> 4 {
+        0 if (1..=3).contains(&tag) => 1,
+        0 => return unknown_tag(tag),
+        v => u32::from(v),
+    };
+    PersistError::UnsupportedVersion { found, expected: FORMAT_VERSION }
+}
+
 /// Decodes one checksum-valid WAL payload into its seq and record.
 fn decode_wal_record(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
     let mut dec = Dec::new(payload);
     let tag = dec.u8("wal record tag")?;
+    if u32::from(tag >> 4) != FORMAT_VERSION {
+        return Err(foreign_tag(tag));
+    }
     let seq = dec.u64("wal record seq")?;
     let record = match tag {
         TAG_INGEST | TAG_UPDATE => {
@@ -938,9 +1092,7 @@ fn decode_wal_record(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
             WalRecord::Class { how, id, class, hash, opened }
         }
         TAG_REMOVE => WalRecord::Remove(dec.u64("wal remove id")? as usize),
-        other => {
-            return Err(PersistError::Corrupt(format!("unknown wal record tag {other:#x}")));
-        }
+        other => return Err(unknown_tag(other)),
     };
     if !dec.done() {
         return Err(PersistError::Corrupt("trailing bytes inside wal record".into()));
@@ -949,9 +1101,10 @@ fn decode_wal_record(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
 }
 
 /// Replays a WAL onto the recovering tables one window of frames at a time:
-/// a sequential pass splits the window off by frame lengths, the pool
-/// checks and decodes its frames one per task, and the records are applied
-/// in log order. The first frame that is incomplete or fails its checksum
+/// a sequential pass splits the window off by frame lengths, its frames are
+/// checked and decoded (one per pool task when the window holds at least
+/// [`PARALLEL_REPLAY_MIN_BYTES`]), and the records are applied in log
+/// order. The first frame that is incomplete or fails its checksum
 /// is a torn tail: replay stops there, and nothing after it is applied. The
 /// first record in log order that does not decode or apply is the error.
 fn replay_wal(
@@ -962,20 +1115,17 @@ fn replay_wal(
     counters: &Counters,
 ) -> Result<(), PersistError> {
     let pool = Pool::global();
-    let window = if pool.threads() > 1 && wal.len() >= PARALLEL_REPLAY_MIN_BYTES {
-        REPLAY_FRAMES_PER_THREAD * pool.threads()
-    } else {
-        1
-    };
+    let window = if pool.threads() > 1 { REPLAY_FRAMES_PER_THREAD * pool.threads() } else { 1 };
     let mut stream = wal;
     let mut frames = Vec::with_capacity(window);
     loop {
         frames.clear();
-        let mut torn = false;
+        let (mut bytes, mut torn) = (0, false);
         while frames.len() < window {
             match split_frame(stream) {
                 Frame::Ok(frame, rest) => {
                     frames.push(frame);
+                    bytes += frame.len();
                     stream = rest;
                 }
                 Frame::End => break,
@@ -985,8 +1135,12 @@ fn replay_wal(
                 }
             }
         }
-        let decoded =
-            pool.par_map_collect(&frames, |frame| checked_payload(frame).map(decode_wal_record));
+        let decode = |frame: &&[u8]| checked_payload(frame).map(decode_wal_record);
+        let decoded: Vec<_> = if bytes >= PARALLEL_REPLAY_MIN_BYTES {
+            pool.par_map_collect(&frames, decode)
+        } else {
+            frames.iter().map(decode).collect()
+        };
         for record in decoded {
             let Some(record) = record else {
                 torn = true;
@@ -1096,6 +1250,89 @@ mod persist_tests {
                 assert_eq!(crc32(bytes), crc32_reference(bytes), "len {len} at offset {start}");
             }
         }
+    }
+
+    /// Every seeded workload's invariant decodes back to the parts it was
+    /// encoded from, field for field, with the same `code_hash`; and the
+    /// decoded invariant encodes to the same bytes.
+    #[test]
+    fn decoded_parts_equal_the_encoded_parts_on_every_seeded_workload() {
+        use topo_datagen::{
+            figure1, ign_city, nested_rings, scattered_islands, sequoia_hydro, sequoia_landcover,
+            star, Scale,
+        };
+        let mut instances = vec![figure1(), nested_rings(4, 3), scattered_islands(8), star(16)];
+        for grid in [4, 12, 16] {
+            for seed in [1, 7919] {
+                let scale = Scale { grid };
+                instances.push(sequoia_landcover(scale, seed));
+                instances.push(sequoia_hydro(scale, seed));
+                instances.push(ign_city(scale, seed));
+            }
+        }
+        for (i, instance) in instances.iter().enumerate() {
+            let invariant = topo_invariant::top(instance);
+            let mut enc = Enc::new();
+            encode_invariant(&mut enc, &invariant);
+            let mut dec = Dec::new(&enc.buf);
+            let decoded = decode_invariant(&mut dec).expect("encoded bytes decode");
+            assert!(dec.done(), "instance {i}: bytes left after the invariant");
+            assert_eq!(fields(&decoded), fields(&invariant), "instance {i}: parts");
+            assert_eq!(decoded.code_hash(), invariant.code_hash(), "instance {i}: code hash");
+            let mut again = Enc::new();
+            encode_invariant(&mut again, &decoded);
+            assert!(again.buf == enc.buf, "instance {i}: re-encoding moved a byte");
+        }
+    }
+
+    /// Every stored field of an invariant, printed (the schema by its names
+    /// in order: its name index is a hash map).
+    fn fields(invariant: &TopologicalInvariant) -> String {
+        let p = invariant.parts_ref();
+        let names: Vec<_> = p.schema.iter().collect();
+        format!(
+            "{:?}",
+            (
+                names,
+                p.vertex_slots,
+                p.vertex_sectors,
+                p.vertex_isolated_face,
+                p.vertex_regions,
+                p.vertex_boundary,
+                p.edge_ends,
+                p.edge_sides,
+                p.edge_regions,
+                p.edge_boundary,
+                p.face_regions,
+                p.exterior_face,
+            )
+        )
+    }
+
+    /// Varints: each value has one encoding, and longer or wider ones are
+    /// refused.
+    #[test]
+    fn varints_roundtrip_and_refuse_overlong_encodings() {
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let mut enc = Enc::new();
+            enc.varint(v);
+            assert_eq!(enc.buf.len(), (64 - v.leading_zeros() as usize).div_ceil(7).max(1));
+            let mut dec = Dec::new(&enc.buf);
+            assert_eq!(dec.varint().unwrap(), v);
+            assert!(dec.done());
+        }
+        let refused: [&[u8]; 4] = [
+            &[0x80, 0x00],                                                 // 0 in two bytes
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02], // past u64
+            &[0x80; 11],                                                   // eleven bytes
+            &[0x80],                                                       // cut short
+        ];
+        for bytes in refused {
+            assert!(Dec::new(bytes).varint().is_err(), "{bytes:?}");
+        }
+        let past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert!(Dec::new(&past_u32).index().is_err());
+        assert_eq!(Dec::new(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).index().unwrap(), u32::MAX as usize);
     }
 
     #[test]

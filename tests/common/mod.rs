@@ -107,12 +107,17 @@ pub fn mixed_invariant_workload(grid: usize) -> Vec<Arc<TopologicalInvariant>> {
 /// transformed twins. Built once per test; ingests reuse the `Arc`s so the
 /// (expensive) canonicalisation happens once per shape.
 pub fn recovery_pool() -> Vec<Arc<TopologicalInvariant>> {
-    let bases = [
+    twin_pool([
         figure1(),
         nested_rings(2, 2),
         scattered_islands(3),
         sequoia_landcover(Scale { grid: 3 }, 1),
-    ];
+    ])
+}
+
+/// Four distinct shapes, then a transformed twin of each: entry `i + 4` is
+/// homeomorphic to entry `i`.
+fn twin_pool(bases: [SpatialInstance; 4]) -> Vec<Arc<TopologicalInvariant>> {
     let maps = [AffineMap::translation(40_000, -9_000), AffineMap::rotation90()];
     let mut out: Vec<Arc<TopologicalInvariant>> = bases.iter().map(|b| Arc::new(top(b))).collect();
     out.extend(
@@ -148,18 +153,32 @@ pub fn run_ops(store: &InvariantStore, ops: &[Op]) {
 }
 
 /// Rounds of [`windowed_script`], seven WAL records each: enough records
-/// and bytes for replay to run in several windows at pool sizes 2 and 8
-/// (a window is 16 frames per pool thread, on logs of 64 KiB and more).
+/// for replay to run in several windows at pool sizes 2 and 8 (a window is
+/// 16 frames per pool thread).
 const WINDOWED_ROUNDS: usize = 96;
 
-/// A long scripted workload over [`recovery_pool`] for WAL replay across
-/// windows. Round `r` works on two fresh ids and leaves none of them live:
-/// an ingest opens a class of shape `r % 4`, a twin ingest dedups into it,
-/// an update opens a class of the next shape, the twin's update joins it
-/// and collects the first class, a repeat of that update is a no-op, and
-/// two removals collect the second class. A tail ingests the whole pool,
-/// so four classes and eight instances are live at the end.
-pub fn windowed_script(pool: &[Arc<TopologicalInvariant>]) -> Vec<Op> {
+/// Frames per replay window at pool size 2, and the bytes from which a
+/// window decodes across the pool (`REPLAY_FRAMES_PER_THREAD` and
+/// `PARALLEL_REPLAY_MIN_BYTES` in `crates/store/src/persist.rs`).
+const POOL_2_WINDOW_FRAMES: usize = 32;
+const PARALLEL_WINDOW_BYTES: usize = 8 * 1024;
+
+/// A long scripted workload for WAL replay across windows, over a
+/// [`twin_pool`] of maps large enough (about 0.9 to 2.8 KB of log per
+/// opened class) that every full replay window at pool 2 and above decodes
+/// across the pool. Round `r` works on two fresh ids and leaves none of
+/// them live: an ingest opens a class of shape `r % 4`, a twin ingest
+/// dedups into it, an update opens a class of the next shape, the twin's
+/// update joins it and collects the first class, a repeat of that update
+/// is a no-op, and two removals collect the second class. A tail ingests
+/// the whole pool, so four classes and eight instances are live at the end.
+pub fn windowed_script() -> Vec<Op> {
+    let pool = twin_pool([
+        ign_city(Scale { grid: 4 }, 1),
+        sequoia_landcover(Scale { grid: 6 }, 1),
+        ign_city(Scale { grid: 5 }, 1),
+        sequoia_landcover(Scale { grid: 5 }, 1),
+    ]);
     let mut ops = Vec::with_capacity(7 * WINDOWED_ROUNDS + pool.len());
     for r in 0..WINDOWED_ROUNDS {
         let (id, shape, next) = (2 * r, r % 4, (r + 1) % 4);
@@ -175,6 +194,24 @@ pub fn windowed_script(pool: &[Arc<TopologicalInvariant>]) -> Vec<Op> {
     }
     ops.extend(pool.iter().map(|invariant| Op::Ingest(invariant.clone())));
     ops
+}
+
+/// Asserts that every full replay window of `wal` at pool 2 holds enough
+/// bytes to decode across the pool; a window at a larger pool holds several
+/// of them.
+pub fn assert_replay_windows_decode_on_the_pool(wal: &[u8]) {
+    let mut frame_bytes = Vec::new();
+    let mut rest = wal;
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        frame_bytes.push(len + 4); // the payload and its checksum
+        rest = &rest[len + 8..];
+    }
+    let windows: Vec<usize> =
+        frame_bytes.chunks_exact(POOL_2_WINDOW_FRAMES).map(|w| w.iter().sum()).collect();
+    assert!(windows.len() >= 8, "{} frames make too few replay windows", frame_bytes.len());
+    let smallest = windows.iter().min().unwrap();
+    assert!(*smallest >= PARALLEL_WINDOW_BYTES, "a {smallest} B window decodes sequentially");
 }
 
 /// A duplicate-heavy batch of pre-built invariants: a handful of distinct

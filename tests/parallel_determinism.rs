@@ -20,7 +20,7 @@ use topo_core::{
 
 mod common;
 use common::{
-    batch_query_mix as query_mix, fingerprint, recovery_pool, run_ops,
+    assert_replay_windows_decode_on_the_pool, batch_query_mix as query_mix, fingerprint, run_ops,
     seeded_workloads as workloads, try_ingest_one, windowed_script, Op, PoolGuard,
 };
 
@@ -196,13 +196,12 @@ fn recover(wal: &[u8], ids: usize) -> Recovered {
 #[test]
 fn wal_replay_identical_across_thread_counts() {
     let _guard = PoolGuard::take();
-    let ops = windowed_script(&recovery_pool());
+    let ops = windowed_script();
     let written = MemoryBackend::new();
     let writer = InvariantStore::open(StoreConfig::default(), written.clone()).unwrap();
     run_ops(&writer, &ops);
     let wal = written.wal_bytes();
-    // Replay decodes across the pool from 64 KiB of log on.
-    assert!(wal.len() > 2 * 64 * 1024, "a {} B log replays on the sequential path", wal.len());
+    assert_replay_windows_decode_on_the_pool(&wal);
     let ids = ops.iter().filter(|op| matches!(op, Op::Ingest(_))).count() + 4; // past the end too
     writer.checkpoint().unwrap();
     let live_snapshot = written.snapshot_bytes().unwrap();

@@ -4,8 +4,8 @@
 //! a seeded script over grid-4 maps of every generator family: batch and
 //! single ingests with duplicates, an in-place update, removals that collect
 //! classes, and one checkpoint between them. The files were produced by the
-//! format's first encoder and are never rewritten by the suite. Two checks
-//! hold them fixed:
+//! encoder of format version 2 and are never rewritten by the suite. Two
+//! checks hold them fixed:
 //!
 //! * recovering the stored bytes gives the oracle's class partition, the
 //!   oracle's `CodeHash` per class, and the oracle's answers;
@@ -14,12 +14,19 @@
 //! A change that alters a single byte of the snapshot or WAL encoding fails
 //! here. Such a change must bump `FORMAT_VERSION` and regenerate the files on
 //! purpose with `cargo test --test store_golden -- --ignored`.
+//!
+//! `tests/fixtures/golden_store_v1/` holds the same script's bytes in format
+//! version 1. No build reads them any more; they must be refused with
+//! `PersistError::UnsupportedVersion`, never misread.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use topo_core::spatial::transform::AffineMap;
+use topo_core::store::persist::FORMAT_VERSION;
 use topo_core::{
-    top, CodeHash, InvariantStore, MemoryBackend, SpatialInstance, StorageBackend, StoreConfig,
+    top, CodeHash, InvariantStore, MemoryBackend, PersistError, SpatialInstance, StorageBackend,
+    StoreConfig,
 };
 use topo_datagen::{ign_city, sequoia_hydro, sequoia_landcover, Scale};
 
@@ -28,6 +35,10 @@ use common::recovery_query_mix as query_mix;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_store")
+}
+
+fn v1_fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_store_v1")
 }
 
 fn grid4(family: usize, seed: u64) -> SpatialInstance {
@@ -85,7 +96,10 @@ fn class_hashes(store: &InvariantStore) -> Vec<(usize, CodeHash)> {
 }
 
 fn stored_fixture() -> (Vec<u8>, Vec<u8>) {
-    let dir = fixture_dir();
+    read_fixture(fixture_dir())
+}
+
+fn read_fixture(dir: PathBuf) -> (Vec<u8>, Vec<u8>) {
     let read = |name: &str| {
         std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
     };
@@ -108,7 +122,8 @@ fn golden_bytes_recover_to_the_oracle() {
     // Each recovered representative is decoded from bytes and hashed afresh,
     // so equal hashes pin the decoded invariants, not only the stored hashes.
     assert_eq!(class_hashes(&recovered), class_hashes(&oracle), "CodeHash per class");
-    let ids = oracle.stats().instances + 2;
+    // Every id the script ever issued, removed ones included, and two past.
+    let ids = oracle.stats().instances + oracle.stats().removals as usize + 2;
     for query in query_mix() {
         for id in 0..ids {
             assert_eq!(recovered.query(id, &query), oracle.query(id, &query), "{id} {query:?}");
@@ -127,6 +142,30 @@ fn the_script_writes_the_golden_bytes() {
     let written_wal = backend.read_wal().unwrap();
     assert_eq!(written_wal.len(), wal.len(), "WAL length");
     assert!(written_wal == wal, "WAL bytes differ from the golden file");
+}
+
+/// Format 1 bytes are refused with the typed error, whether the snapshot
+/// header or a WAL record tag is the first thing read, and never open a
+/// store or panic.
+#[test]
+fn format_1_bytes_are_refused_as_unsupported() {
+    let (snapshot, wal) = read_fixture(v1_fixture_dir());
+    for (label, snapshot) in [("snapshot plus WAL", Some(snapshot)), ("WAL alone", None)] {
+        let backend = MemoryBackend::new();
+        backend.set_snapshot_bytes(snapshot);
+        backend.set_wal_bytes(wal.clone());
+        let opened = catch_unwind(AssertUnwindSafe(|| {
+            InvariantStore::open(StoreConfig::default(), backend).map(|store| store.classes())
+        }));
+        match opened {
+            Ok(Err(PersistError::UnsupportedVersion { found: 1, expected })) => {
+                assert_eq!(expected, FORMAT_VERSION, "{label}");
+            }
+            Ok(Err(other)) => panic!("{label}: failed with {other}"),
+            Ok(Ok(classes)) => panic!("{label}: opened with classes {classes:?}"),
+            Err(_) => panic!("{label}: panicked"),
+        }
+    }
 }
 
 /// Rewrites the fixture from the current encoder. Run it only together with

@@ -14,7 +14,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use topo_core::parallel::set_global_threads;
-use topo_core::store::persist::crc32;
+use topo_core::store::persist::{crc32, FORMAT_VERSION};
 use topo_core::{
     FaultKind, FaultPlan, FaultSite, FaultyBackend, FileBackend, IngestOutcome, InvariantStore,
     MemoryBackend, PersistError, StorageBackend, StoreConfig, TopologicalInvariant,
@@ -22,7 +22,8 @@ use topo_core::{
 
 mod common;
 use common::{
-    recovery_pool as pool, recovery_query_mix as query_mix, run_ops, windowed_script, Op, PoolGuard,
+    assert_replay_windows_decode_on_the_pool, recovery_pool as pool,
+    recovery_query_mix as query_mix, run_ops, windowed_script, Op, PoolGuard,
 };
 
 /// The scripted workload every fault scenario runs: ingests with duplicates
@@ -63,7 +64,9 @@ fn assert_equivalent(recovered: &InvariantStore, oracle: &InvariantStore, label:
     assert_eq!(recovered.classes(), oracle.classes(), "{label}: class partition diverged");
     assert_eq!(recovered.instance_count(), oracle.instance_count(), "{label}: live instances");
     assert_eq!(recovered.class_count(), oracle.class_count(), "{label}: live classes");
-    let ids = oracle.stats().instances + 4; // probe past the end too
+    // Every id the oracle ever issued, removed ones included, and past the
+    // end too.
+    let ids = oracle.stats().instances + oracle.stats().removals as usize + 4;
     for query in query_mix() {
         assert_eq!(
             recovered.query_all(&query),
@@ -429,7 +432,7 @@ fn corrupt_snapshots_fail_loudly() {
     durable.set_snapshot_bytes(Some(bad));
     assert!(matches!(
         InvariantStore::open(StoreConfig::default(), durable.clone()),
-        Err(PersistError::Corrupt(_))
+        Err(PersistError::UnsupportedVersion { found: 0xFF, expected: FORMAT_VERSION })
     ));
 
     // A flipped payload bit fails the body checksum.
@@ -465,7 +468,7 @@ fn corrupt_snapshots_fail_loudly() {
         ("instance slot count u64::MAX", instance_slots_max),
     ] {
         durable.set_snapshot_bytes(Some([&pristine[..8], &framed(&mutated)].concat()));
-        if let Some(outcome) = open_unless_corrupt(&durable) {
+        if let Err(outcome) = open_expecting_corrupt(&durable) {
             accepted.push(format!("{label}: {outcome}"));
         }
     }
@@ -494,20 +497,20 @@ fn frame_payloads(mut stream: &[u8]) -> Vec<Vec<u8>> {
     payloads
 }
 
-/// Opens a store over `durable`; `None` if that is refused as
-/// `PersistError::Corrupt`, else what happened instead (an open store, an
-/// I/O error or a panic).
-fn open_unless_corrupt(durable: &Arc<MemoryBackend>) -> Option<String> {
+/// Opens a store over `durable`: the reason if that is refused as
+/// `PersistError::Corrupt`, else what happened instead (an open store,
+/// another error or a panic).
+fn open_expecting_corrupt(durable: &Arc<MemoryBackend>) -> Result<String, String> {
     let opened = catch_unwind(AssertUnwindSafe(|| {
         InvariantStore::open(StoreConfig::default(), durable.clone())
     }));
     match opened {
-        Ok(Err(PersistError::Corrupt(_))) => None,
-        Ok(Err(other)) => Some(format!("failed with {other}")),
+        Ok(Err(PersistError::Corrupt(why))) => Ok(why),
+        Ok(Err(other)) => Err(format!("failed with {other}")),
         Ok(Ok(store)) => {
-            Some(format!("opened with {} classes over {:?}", store.class_count(), store.classes()))
+            Err(format!("opened with {} classes over {:?}", store.class_count(), store.classes()))
         }
-        Err(_) => Some("panicked".into()),
+        Err(_) => Err("panicked".into()),
     }
 }
 
@@ -528,7 +531,8 @@ fn checksummed_hostile_wal_records_are_corrupt() {
     assert_eq!(records.len(), 3);
 
     // An ingest or update payload is `tag, seq, id, class, code_hash,
-    // new_class, [invariant]` (offsets 0, 1, 9, 17, 25, 33, 34).
+    // new_class, [invariant]` (offsets 0, 1, 9, 17, 25, 33, 34); format 2
+    // tags are 0x21 (ingest), 0x22 (remove) and 0x23 (update).
     let class_record = |from: &[u8], tag: u8, id: u64, class: u64, opens: bool| {
         let mut record = if opens { from.to_vec() } else { from[..34].to_vec() };
         record[0] = tag;
@@ -538,7 +542,7 @@ fn checksummed_hostile_wal_records_are_corrupt() {
         record[33] = opens as u8;
         record
     };
-    let (ingest, update) = (0x01, 0x03);
+    let (ingest, update) = (0x21, 0x23);
     let mut accepted = Vec::new();
     for (label, hostile) in [
         ("ingest re-opens live class 1", class_record(&records[1], ingest, 2, 1, true)),
@@ -548,15 +552,15 @@ fn checksummed_hostile_wal_records_are_corrupt() {
         ("update opens instance 1's current class", class_record(&records[1], update, 1, 1, true)),
         (
             "remove with seq u64::MAX",
-            [&[0x02][..], &u64::MAX.to_le_bytes(), &1u64.to_le_bytes()].concat(),
+            [&[0x22][..], &u64::MAX.to_le_bytes(), &1u64.to_le_bytes()].concat(),
         ),
         (
             "remove with a trailing byte",
-            [&[0x02][..], &3u64.to_le_bytes(), &1u64.to_le_bytes(), &[0]].concat(),
+            [&[0x22][..], &3u64.to_le_bytes(), &1u64.to_le_bytes(), &[0]].concat(),
         ),
     ] {
         durable.set_wal_bytes([&valid[..], &framed(&hostile)].concat());
-        if let Some(outcome) = open_unless_corrupt(&durable) {
+        if let Err(outcome) = open_expecting_corrupt(&durable) {
             accepted.push(format!("{label}: {outcome}"));
         }
     }
@@ -568,15 +572,81 @@ fn checksummed_hostile_wal_records_are_corrupt() {
     assert_eq!(recovered.classes(), vec![vec![1]]);
 }
 
+/// Checksum-valid ingest records whose invariant body is hostile are
+/// refused as corrupt, never opened or panicked on: the body cut at every
+/// byte, overlong varints, an index past `u32`, a count past the bytes
+/// left, and a region bit beyond the schema.
+#[test]
+fn checksummed_hostile_invariant_bodies_are_corrupt() {
+    let pool = pool();
+    let durable = MemoryBackend::new();
+    let store = InvariantStore::open(StoreConfig::default(), durable.clone()).unwrap();
+    run_ops(&store, &[Op::Ingest(pool[0].clone())]);
+    drop(store);
+    let record = frame_payloads(&durable.wal_bytes()).remove(0);
+    // The record opens its class, so the invariant body starts at offset
+    // 34: `regions, (name_len, name)*, vertices, ...` up to `..., the last
+    // face's region words, exterior_face`, every count and index a varint.
+    const BODY: usize = 34;
+    assert_eq!(record[33], 1, "the ingest opens a class");
+    let regions = usize::from(record[BODY]);
+    assert!(regions < 7, "the schema size and every region word take one byte");
+    let mut vertex_count = BODY + 1;
+    for _ in 0..regions {
+        assert!(record[vertex_count] < 0x80, "a one-byte name length");
+        vertex_count += 1 + usize::from(record[vertex_count]);
+    }
+    let vertex_count_len = record[vertex_count..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    let (face_word, exterior) = (record.len() - 2, record.len() - 1);
+    assert!(record[face_word] < 0x80, "a one-byte exterior face index");
+    let splice =
+        |at: usize, len: usize, with: &[u8]| [&record[..at], with, &record[at + len..]].concat();
+    let mut hostile: Vec<(String, Vec<u8>, &str)> = (BODY..record.len())
+        .map(|cut| (format!("body cut at byte {cut}"), record[..cut].to_vec(), ""))
+        .collect();
+    let zero_padded = [record[BODY] | 0x80, 0x00];
+    let past_u64 = [&[record[BODY] | 0x80][..], &[0x80; 9], &[0x01]].concat();
+    let mut bit_beyond = record.clone();
+    bit_beyond[face_word] |= 1 << regions;
+    hostile.extend([
+        ("schema size padded with a zero byte".into(), splice(BODY, 1, &zero_padded), "varint"),
+        ("schema size varint of eleven bytes".into(), splice(BODY, 1, &past_u64), "varint"),
+        (
+            "exterior face 2^32".into(),
+            splice(exterior, 1, &[0x80, 0x80, 0x80, 0x80, 0x10]),
+            "exceeds u32",
+        ),
+        (
+            "vertex count u32::MAX".into(),
+            splice(vertex_count, vertex_count_len, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+            "bytes left",
+        ),
+        ("region bit beyond the schema".into(), bit_beyond, "region bit beyond"),
+    ]);
+    let mut accepted = Vec::new();
+    for (label, payload, expected) in hostile {
+        durable.set_wal_bytes(framed(&payload));
+        match open_expecting_corrupt(&durable) {
+            Ok(why) if why.contains(expected) => {}
+            Ok(why) => accepted.push(format!("{label}: refused for another reason: {why}")),
+            Err(outcome) => accepted.push(format!("{label}: {outcome}")),
+        }
+    }
+    assert!(accepted.is_empty(), "checksum-valid hostile invariant bodies: {accepted:?}");
+
+    durable.set_wal_bytes(framed(&record));
+    let recovered = InvariantStore::open(StoreConfig::default(), durable).unwrap();
+    assert_eq!(recovered.stats().replayed_records, 1);
+}
+
 /// The frames of [`windowed_script`]'s WAL, one per operation, written to
-/// a fresh backend. The log is long enough to replay in windows (replay
-/// decodes across the pool from 64 KiB of log on): at pool 8 a window is
-/// 128 frames, at pool 2 it is 32.
+/// a fresh backend. The log replays in windows that decode across the pool:
+/// at pool 8 a window is 128 frames, at pool 2 it is 32.
 fn windowed_wal(ops: &[Op]) -> (Arc<MemoryBackend>, Vec<Vec<u8>>) {
     let durable = MemoryBackend::new();
     run_ops(&InvariantStore::open(StoreConfig::default(), durable.clone()).unwrap(), ops);
     let wal = durable.wal_bytes();
-    assert!(wal.len() > 2 * 64 * 1024, "a {} B log replays on the sequential path", wal.len());
+    assert_replay_windows_decode_on_the_pool(&wal);
     let frames: Vec<Vec<u8>> = frame_payloads(&wal).iter().map(|p| framed(p)).collect();
     assert_eq!(frames.len(), ops.len());
     (durable, frames)
@@ -611,8 +681,7 @@ fn open_at_each_pool(
 #[test]
 fn torn_frame_inside_a_replay_window_truncates_at_every_pool_size() {
     let _guard = PoolGuard::take();
-    let pool = pool();
-    let ops = windowed_script(&pool);
+    let ops = windowed_script();
     let (durable, frames) = windowed_wal(&ops);
     for torn in [128, 200, 255] {
         let mut bytes = frames.clone();
@@ -635,13 +704,12 @@ fn torn_frame_inside_a_replay_window_truncates_at_every_pool_size() {
 #[test]
 fn corrupt_record_inside_a_replay_window_is_the_same_error_at_every_pool_size() {
     let _guard = PoolGuard::take();
-    let pool = pool();
-    let ops = windowed_script(&pool);
+    let ops = windowed_script();
     let (durable, frames) = windowed_wal(&ops);
     // Instance 0 was removed in the first round; a trailing byte does not
     // decode.
     let remove_removed =
-        framed(&[&[0x02][..], &200u64.to_le_bytes(), &0u64.to_le_bytes()].concat());
+        framed(&[&[0x22][..], &200u64.to_le_bytes(), &0u64.to_le_bytes()].concat());
     let trailing_byte = with_trailing_byte(&frames[210]);
     for (label, hostile, expected) in [
         ("undecodable record", vec![(210, &trailing_byte)], "trailing bytes inside wal record"),
@@ -673,8 +741,7 @@ fn corrupt_record_inside_a_replay_window_is_the_same_error_at_every_pool_size() 
 #[test]
 fn corrupt_record_after_a_torn_frame_is_never_applied() {
     let _guard = PoolGuard::take();
-    let pool = pool();
-    let ops = windowed_script(&pool);
+    let ops = windowed_script();
     let (durable, mut frames) = windowed_wal(&ops);
     frames[200][5] ^= 0x10;
     frames[210] = with_trailing_byte(&frames[210]);
